@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 from . import corpus
 from .fincat import (CategoryError, FinCat, FunctorData, NatTransData,
                      compose_functors, identity_functor, is_finitely_bicomplete,
-                     limit_search, validate_category)
+                     limit_search, validation_report)
 from .ktheory import k0_group, k0_presentation, waldhausen_from_fincat, waldhausen_truncated
 from .lifting import MorphismClass, is_finitely_well_complete
 from .modelstruct import (ModelStructure, bijection_suite, colocalizations_via_op,
                           enumerate_localizations, homotopy_category,
                           localization_from_reflector, verify_model_axioms)
 from .monadkit import MonadData, is_idempotent, monad_from_reflector, verify_monad
-from .reflect import find_reflector
+from .reflect import enumerate_replete_reflective, find_reflector
 from .ringmod import RingError, RingHom, localization_exists_verdict, ring_from_spec
 
 INPUT_ERROR = 2
@@ -49,38 +49,58 @@ def _read_json(path: str) -> dict:
         raise CategoryError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_category(path: str, args) -> FinCat:
-    cat = FinCat.from_json_dict(_read_json(path))
-    if len(cat.objects) > args.max_objects:
-        raise CategoryError(
-            f"{len(cat.objects)} objects exceeds --max-objects {args.max_objects}")
-    if len(cat.morphisms) > args.max_morphisms:
-        raise CategoryError(
-            f"{len(cat.morphisms)} morphisms exceeds --max-morphisms {args.max_morphisms}")
-    return cat
+COMMON_DEFAULTS = {"format": "text", "max_objects": 8, "max_morphisms": 64,
+                   "max_ring_elements": 16, "emit_dot": None}
+DEFAULT_ARGS = argparse.Namespace(**COMMON_DEFAULTS)
 
 
-def _require_valid(cat: FinCat) -> Outcome | None:
-    rep = validate_category(cat)
-    if not rep.ok:
-        return Outcome(False, {
-            "verdict": "invalid",
-            "law": rep.violation.law,
-            "witness": list(rep.violation.witness),
-            "detail": rep.violation.detail,
-            "missing_compositions": [list(p) for p in rep.missing],
-        }, [f"FAIL {rep.violation}"])
-    return None
+class _Stop(Exception):
+    """Ends a command early with its negative outcome."""
+
+    def __init__(self, outcome: Outcome):
+        super().__init__()
+        self.outcome = outcome
+
+
+def _load_category(args, source, within: str = "") -> FinCat:
+    """The CLI's one category loader: read the JSON, build the FinCat, apply
+    --max-objects and --max-morphisms, and validate.
+
+    `source` is a path or corpus name.  With `within` ("model" or "monad") it
+    is instead the parsed file of that kind, whose `category` field is
+    loaded.  An invalid category file ends the command with the negative
+    `invalid` report; an invalid category inside a model or monad file is an
+    input error.
+    """
+    if within:
+        if not isinstance(source, dict) or "category" not in source:
+            raise CategoryError(f"{within} file needs a 'category' field")
+        cat = FinCat.from_json_dict(source["category"])
+    else:
+        cat = FinCat.from_json_dict(_read_json(source))
+    for kind, count, cap in (("objects", len(cat.objects), args.max_objects),
+                             ("morphisms", len(cat.morphisms), args.max_morphisms)):
+        if count > cap:
+            raise CategoryError(f"{count} {kind} exceeds --max-{kind} {cap}")
+    rep = validation_report(cat)
+    if rep.ok:
+        return cat
+    if within:
+        raise CategoryError(f"{within} file category invalid: {rep.violation}")
+    raise _Stop(Outcome(False, {
+        "verdict": "invalid",
+        "law": rep.violation.law,
+        "witness": list(rep.violation.witness),
+        "detail": rep.violation.detail,
+        "missing_compositions": [list(p) for p in rep.missing],
+    }, [f"FAIL {rep.violation}"]))
 
 
 # -- subcommands -------------------------------------------------------------------
 
 
 def cmd_validate(args) -> Outcome:
-    cat = _load_category(args.category, args)
-    bad = _require_valid(cat)
-    if bad:
-        return bad
+    cat = _load_category(args, args.category)
     return Outcome(True, {"verdict": "pass", "objects": len(cat.objects),
                           "morphisms": len(cat.morphisms)},
                    [f"PASS {cat.name or args.category}: valid category "
@@ -88,10 +108,7 @@ def cmd_validate(args) -> Outcome:
 
 
 def cmd_limits(args) -> Outcome:
-    cat = _load_category(args.category, args)
-    bad = _require_valid(cat)
-    if bad:
-        return bad
+    cat = _load_category(args, args.category)
     shapes = {}
     shapes["terminal"] = limit_search(cat, "terminal").apex
     shapes["initial"] = limit_search(cat, "initial").apex
@@ -129,10 +146,7 @@ def _family_payload(family) -> dict:
 
 
 def cmd_enumerate_localizations(args) -> Outcome:
-    cat = _load_category(args.category, args)
-    bad = _require_valid(cat)
-    if bad:
-        return bad
+    cat = _load_category(args, args.category)
     family = enumerate_localizations(cat)
     payload = _family_payload(family)
     all_ok = True
@@ -161,10 +175,7 @@ def cmd_enumerate_localizations(args) -> Outcome:
 
 
 def cmd_colocalizations(args) -> Outcome:
-    cat = _load_category(args.category, args)
-    bad = _require_valid(cat)
-    if bad:
-        return bad
+    cat = _load_category(args, args.category)
     family = colocalizations_via_op(cat)
     verdicts = [verify_model_axioms(st).ok for st in family.structures]
     payload = _family_payload(family)
@@ -177,16 +188,12 @@ def cmd_colocalizations(args) -> Outcome:
 
 
 def _parse_model_file(data: dict, args) -> ModelStructure:
-    if "category" not in data:
-        raise CategoryError("model file needs a 'category' field")
-    cat = FinCat.from_json_dict(data["category"])
-    rep = validate_category(cat)
-    if not rep.ok:
-        raise CategoryError(f"model file category invalid: {rep.violation}")
-    try:
-        classes = {k: MorphismClass.of(cat, data[k]) for k in ("cof", "we", "fib")}
-    except KeyError as exc:
-        raise CategoryError(f"model file missing class {exc}") from exc
+    cat = _load_category(args, data, within="model")
+    classes = {}
+    for k in ("cof", "we", "fib"):
+        if not isinstance(data.get(k), list):
+            raise CategoryError(f"model file needs class {k!r} as a list of morphism ids")
+        classes[k] = MorphismClass.of(cat, data[k])
     return ModelStructure(cat, classes["cof"], classes["we"], classes["fib"], "file")
 
 
@@ -212,10 +219,7 @@ def _subcat_reflector(cat: FinCat, subcat_arg: str):
 
 
 def cmd_homotopy_category(args) -> Outcome:
-    cat = _load_category(args.category, args)
-    bad = _require_valid(cat)
-    if bad:
-        return bad
+    cat = _load_category(args, args.category)
     refl, members, witness = _subcat_reflector(cat, args.subcat)
     if refl is None:
         return Outcome(False, {"verdict": "not-reflective", "witness": witness},
@@ -237,20 +241,21 @@ def cmd_homotopy_category(args) -> Outcome:
     return Outcome(view.equivalence_ok, payload, lines)
 
 
-def _monad_from_file(data: dict) -> MonadData:
-    cat = FinCat.from_json_dict(data["category"])
-    rep = validate_category(cat)
-    if not rep.ok:
-        raise CategoryError(f"monad file category invalid: {rep.violation}")
-    functor = FunctorData(cat, cat, dict(data["T_obj"]), dict(data["T_mor"]))
-    unit = NatTransData(identity_functor(cat), functor, dict(data["unit"]))
-    mult = NatTransData(compose_functors(functor, functor), functor, dict(data["mult"]))
-    return MonadData(functor, unit, mult)
+def _monad_from_file(data: dict, args=DEFAULT_ARGS) -> MonadData:
+    cat = _load_category(args, data, within="monad")
+    try:
+        t_obj, t_mor, unit, mult = (dict(data[k]) for k in ("T_obj", "T_mor", "unit", "mult"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CategoryError("monad file needs T_obj, T_mor, unit and mult as objects; "
+                            f"{type(exc).__name__}: {exc}") from exc
+    functor = FunctorData(cat, cat, t_obj, t_mor)
+    return MonadData(functor, NatTransData(identity_functor(cat), functor, unit),
+                     NatTransData(compose_functors(functor, functor), functor, mult))
 
 
 def cmd_monads(args) -> Outcome:
     if args.monad_file:
-        monad = _monad_from_file(_read_json(args.monad_file))
+        monad = _monad_from_file(_read_json(args.monad_file), args)
         report = verify_monad(monad)
         payload = {"verdict": "pass" if report.ok else "fail",
                    "violations": [{"law": v.law, "witness": list(v.witness)}
@@ -265,11 +270,7 @@ def cmd_monads(args) -> Outcome:
 
     if not args.category:
         raise CategoryError("monads needs a category argument or --monad-file")
-    cat = _load_category(args.category, args)
-    bad = _require_valid(cat)
-    if bad:
-        return bad
-    from .reflect import enumerate_replete_reflective
+    cat = _load_category(args, args.category)
     refls = enumerate_replete_reflective(cat)
     entries = []
     all_ok = True
@@ -291,10 +292,7 @@ def cmd_monads(args) -> Outcome:
 
 
 def cmd_bijections(args) -> Outcome:
-    cat = _load_category(args.category, args)
-    bad = _require_valid(cat)
-    if bad:
-        return bad
+    cat = _load_category(args, args.category)
     report = bijection_suite(cat)
     payload = {"ok": report.ok, "checks": report.to_json_dict()}
     lines = [f"{'PASS' if ok else 'FAIL'} {name}" + (f" ({detail})" if detail and not ok else "")
@@ -305,15 +303,11 @@ def cmd_bijections(args) -> Outcome:
 
 
 def cmd_ring_check(args) -> Outcome:
-    try:
-        ring = ring_from_spec(_read_json(args.ring), args.max_ring_elements)
-        algebra = ring_from_spec(_read_json(args.algebra), args.max_ring_elements)
-        hom_map = _read_json(args.map)
-        hom = RingHom(ring, algebra, {str(k): str(v)
-                                      for k, v in hom_map.get("map", hom_map).items()})
-        verdict = localization_exists_verdict(hom)
-    except RingError as exc:
-        raise CategoryError(str(exc)) from exc
+    ring = ring_from_spec(_read_json(args.ring), args.max_ring_elements)
+    algebra = ring_from_spec(_read_json(args.algebra), args.max_ring_elements)
+    hom_map = _read_json(args.map)
+    hom = RingHom(ring, algebra, {str(k): str(v) for k, v in hom_map.get("map", hom_map).items()})
+    verdict = localization_exists_verdict(hom)
     payload = {
         "localization_exists": verdict.exists,
         "tensor_square_order": verdict.mult.tensor_order,
@@ -350,10 +344,7 @@ def cmd_k0(args) -> Outcome:
         data = waldhausen_truncated(p, bound, args.we)
         source = f"abelian {p}-groups of order <= {p ** bound}, we = {args.we}"
     else:
-        cat = _load_category(args.category, args)
-        bad = _require_valid(cat)
-        if bad:
-            return bad
+        cat = _load_category(args, args.category)
         if args.subcat:
             refl, members, witness = _subcat_reflector(cat, args.subcat)
             if refl is None:
@@ -395,10 +386,6 @@ def cmd_corpus(args) -> Outcome:
 
 
 # -- driver ---------------------------------------------------------------------------
-
-
-COMMON_DEFAULTS = {"format": "text", "max_objects": 8, "max_morphisms": 64,
-                   "max_ring_elements": 16, "emit_dot": None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,6 +473,8 @@ def main(argv=None) -> int:
             setattr(args, key, value)
     try:
         outcome = args.fn(args)
+    except _Stop as stop:
+        outcome = stop.outcome
     except (CategoryError, RingError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

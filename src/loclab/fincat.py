@@ -9,7 +9,9 @@ package.
 
 Ids are opaque strings; all iteration is in sorted order, so every operation
 is deterministic.  Values are immutable after construction and every function
-is pure.
+is pure, so each fact derived from a category (its canonical key and hash,
+validation report, isomorphisms and iso classes, opposite, and (co)limit
+hypotheses) is computed once and kept in that instance's memo.
 """
 
 from __future__ import annotations
@@ -66,9 +68,13 @@ class FinCat:
         for (s, d) in list(self._hom):
             self._hom[(s, d)] = tuple(m for m in self.morphisms
                                       if self.src[m] == s and self.dst[m] == d)
-        self._isos: frozenset[str] | None = None
-        self._op: FinCat | None = None
-        self._cache: dict = {}
+        self._memo: dict = {}
+
+    def _memoized(self, key: str, compute):
+        """`compute(self)`, computed once for this instance."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
 
     # -- basic accessors ---------------------------------------------------
 
@@ -86,9 +92,6 @@ class FinCat:
             return self.identity[obj]
         except KeyError:
             raise CategoryError(f"no identity recorded for object {obj!r}") from None
-
-    def has_object(self, obj: str) -> bool:
-        return obj in self.identity and obj in set(self.objects)
 
     def has_morphism(self, m: str) -> bool:
         return m in self.src
@@ -113,9 +116,8 @@ class FinCat:
         return None
 
     def isos(self) -> frozenset[str]:
-        if self._isos is None:
-            self._isos = frozenset(m for m in self.morphisms if self.inverse(m) is not None)
-        return self._isos
+        return self._memoized("isos", lambda cat: frozenset(
+            m for m in cat.morphisms if cat.inverse(m) is not None))
 
     def is_iso(self, f: str) -> bool:
         return f in self.isos()
@@ -123,18 +125,21 @@ class FinCat:
     # -- structural identity -------------------------------------------------
 
     def canonical(self) -> tuple:
-        return (
-            self.objects,
-            tuple((m, self.src[m], self.dst[m]) for m in self.morphisms),
-            tuple(sorted(self.identity.items())),
-            tuple(sorted(self.compose.items())),
-        )
+        return self._memoized("canonical", lambda cat: (
+            cat.objects,
+            tuple((m, cat.src[m], cat.dst[m]) for m in cat.morphisms),
+            tuple(sorted(cat.identity.items())),
+            tuple(sorted(cat.compose.items())),
+        ))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinCat) and self.canonical() == other.canonical()
+        if self is other:
+            return True
+        return (isinstance(other, FinCat) and hash(self) == hash(other)
+                and self.canonical() == other.canonical())
 
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return self._memoized("hash", lambda cat: hash(cat.canonical()))
 
     def __repr__(self) -> str:
         label = self.name or "FinCat"
@@ -152,6 +157,11 @@ class FinCat:
         """
         if not isinstance(data, dict):
             raise CategoryError("category file must be a JSON object")
+        for key, kind in (("objects", list), ("morphisms", list), ("compose", list),
+                          ("identity", dict)):
+            if key in data and not isinstance(data[key], kind):
+                raise CategoryError(f"malformed category file: {key!r} must be a JSON "
+                                    f"{'array' if kind is list else 'object'}")
         try:
             objects = [str(o) for o in data["objects"]]
             raw_mors = [(str(m["id"]), str(m["src"]), str(m["dst"]))
@@ -268,10 +278,13 @@ def _fail(law: str, witness: tuple, detail: str) -> ValidationReport:
     return ValidationReport(ok=False, violation=Violation(law, witness, detail))
 
 
+def validation_report(cat: FinCat) -> ValidationReport:
+    """The category's `validate_category` report, computed once per instance."""
+    return cat._memoized("valid", validate_category)
+
+
 def require_valid(cat: FinCat) -> None:
-    if "valid" not in cat._cache:
-        cat._cache["valid"] = validate_category(cat)
-    report = cat._cache["valid"]
+    report = validation_report(cat)
     if not report.ok:
         raise CategoryError(f"invalid category: {report.violation}")
 
@@ -286,29 +299,25 @@ class MorphismPredicates:
     is_epi: bool
 
 
+def is_mono(cat: FinCat, f: str) -> bool:
+    """Exhaustive cancellation search: f.u == f.v forces u == v.
+
+    f is epi in C exactly when it is mono in C^op, which shares morphism ids,
+    so `is_mono(opposite(cat), f)` decides epi.
+    """
+    s = cat.src[f]
+    return all(u == v or cat.comp(f, u) != cat.comp(f, v)
+               for w in cat.objects for u in cat.hom(w, s) for v in cat.hom(w, s))
+
+
 def morphism_predicates(cat: FinCat, f: str) -> MorphismPredicates:
     """Decide iso/mono/epi for one morphism by exhaustive cancellation search."""
     cat.require_morphism(f)
-    s, d = cat.src[f], cat.dst[f]
-    mono = True
-    for w in cat.objects:
-        for u in cat.hom(w, s):
-            for v in cat.hom(w, s):
-                if u != v and cat.comp(f, u) == cat.comp(f, v):
-                    mono = False
-    epi = True
-    for w in cat.objects:
-        for u in cat.hom(d, w):
-            for v in cat.hom(d, w):
-                if u != v and cat.comp(u, f) == cat.comp(v, f):
-                    epi = False
-    return MorphismPredicates(is_iso=cat.is_iso(f), is_mono=mono, is_epi=epi)
+    return MorphismPredicates(is_iso=cat.is_iso(f), is_mono=is_mono(cat, f),
+                              is_epi=is_mono(opposite(cat), f))
 
 
 # -- limits and colimits ----------------------------------------------------------
-
-LIMIT_SHAPES = ("terminal", "initial", "binary-product", "binary-coproduct",
-                "pullback", "pushout", "equalizer", "coequalizer")
 
 
 @dataclass(frozen=True)
@@ -450,21 +459,24 @@ def _dualize(result: LimitResult, shape: str) -> LimitResult:
                        result.legs, result.mediators, result.reason)
 
 
+_SEARCHES = {
+    "terminal": (terminal_object, 0),
+    "initial": (initial_object, 0),
+    "binary-product": (binary_product, 2),
+    "binary-coproduct": (binary_coproduct, 2),
+    "pullback": (pullback, 2),
+    "pushout": (pushout, 2),
+    "equalizer": (equalizer, 2),
+    "coequalizer": (coequalizer, 2),
+}
+_LIMITS = frozenset({"terminal", "binary-product", "pullback", "equalizer"})
+
+
 def limit_search(cat: FinCat, shape: str, *args: str) -> LimitResult:
     require_valid(cat)
-    table = {
-        "terminal": (terminal_object, 0),
-        "initial": (initial_object, 0),
-        "binary-product": (binary_product, 2),
-        "binary-coproduct": (binary_coproduct, 2),
-        "pullback": (pullback, 2),
-        "pushout": (pushout, 2),
-        "equalizer": (equalizer, 2),
-        "coequalizer": (coequalizer, 2),
-    }
-    if shape not in table:
+    if shape not in _SEARCHES:
         raise CategoryError(f"unknown limit shape {shape!r}")
-    fn, arity = table[shape]
+    fn, arity = _SEARCHES[shape]
     if len(args) != arity:
         raise CategoryError(f"shape {shape!r} takes {arity} arguments, got {len(args)}")
     return fn(cat, *args)
@@ -478,6 +490,41 @@ class BicompletenessReport:
     note: str = ""
 
 
+def _scan_hypotheses(cat: FinCat) -> tuple[BicompletenessReport, tuple | None]:
+    """One pass over the (co)limits that generate all finite (co)limits.
+
+    The order is terminal, initial, then per object pair (a <= b) the product
+    and coproduct, then per parallel pair (f <= g) the equalizer and
+    coequalizer.  Returns the bicompleteness report (first absent shape) and
+    the first absent *limit* shape, which is the well-completeness verdict;
+    once a (co)limit is missing, only limits are still searched.
+    """
+    thin = all(len(cat.hom(a, b)) <= 1 for a in cat.objects for b in cat.objects)
+    note = "finite categories: binary (co)products and (co)equalizers generate all finite (co)limits"
+    shapes = [("terminal",), ("initial",)]
+    for a, b in combinations_with_replacement(cat.objects, 2):
+        shapes += [("binary-product", a, b), ("binary-coproduct", a, b)]
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            if f <= g and cat.parallel(f, g):
+                shapes += [("equalizer", f, g), ("coequalizer", f, g)]
+    missing = missing_limit = None
+    for shape in shapes:
+        is_limit = shape[0] in _LIMITS
+        if (missing is None or is_limit) and not _SEARCHES[shape[0]][0](cat, *shape[1:]).found:
+            missing = missing or shape
+            if is_limit:
+                missing_limit = shape
+                break
+    return BicompletenessReport(missing is None, missing, thin, note), missing_limit
+
+
+def hypothesis_scan(cat: FinCat) -> tuple[BicompletenessReport, tuple | None]:
+    """`_scan_hypotheses`, computed once per valid category instance."""
+    require_valid(cat)
+    return cat._memoized("hypotheses", _scan_hypotheses)
+
+
 def is_finitely_bicomplete(cat: FinCat) -> BicompletenessReport:
     """Terminal, initial, all binary (co)products, all (co)equalizers.
 
@@ -486,44 +533,28 @@ def is_finitely_bicomplete(cat: FinCat) -> BicompletenessReport:
     a finite category with all binary products is necessarily thin, since
     hom(A, B)^n embeds in hom(A, B^n), which is bounded.
     """
-    require_valid(cat)
-    thin = all(len(cat.hom(a, b)) <= 1 for a in cat.objects for b in cat.objects)
-    note = "finite categories: binary (co)products and (co)equalizers generate all finite (co)limits"
+    return hypothesis_scan(cat)[0]
 
-    def report(shape, *args):
-        return BicompletenessReport(False, (shape,) + args, thin, note)
 
-    if not terminal_object(cat).found:
-        return report("terminal")
-    if not initial_object(cat).found:
-        return report("initial")
-    for a, b in combinations_with_replacement(cat.objects, 2):
-        if not binary_product(cat, a, b).found:
-            return report("binary-product", a, b)
-        if not binary_coproduct(cat, a, b).found:
-            return report("binary-coproduct", a, b)
-    pairs = [(f, g) for f in cat.morphisms for g in cat.morphisms
-             if f <= g and cat.parallel(f, g)]
-    for f, g in pairs:
-        if not equalizer(cat, f, g).found:
-            return report("equalizer", f, g)
-        if not coequalizer(cat, f, g).found:
-            return report("coequalizer", f, g)
-    return BicompletenessReport(True, None, thin, note)
+def require_hypotheses(cat: FinCat) -> None:
+    """Raise unless the category is finitely bicomplete and finitely
+    well-complete, the hypotheses of every localization built here."""
+    bicomplete, missing_limit = hypothesis_scan(cat)
+    for name, missing in (("finitely bicomplete", bicomplete.missing),
+                          ("finitely well-complete", missing_limit)):
+        if missing:
+            raise CategoryError(f"hypothesis failure: not {name}, missing {missing}")
 
 
 def opposite(cat: FinCat) -> FinCat:
     """Reverse all morphisms; an involution up to structural equality."""
-    if cat._op is None:
-        op = FinCat(
-            cat.objects,
-            [(m, cat.dst[m], cat.src[m]) for m in cat.morphisms],
-            cat.identity,
-            {(f, g): h for (g, f), h in cat.compose.items()},
-            name=f"{cat.name}^op" if cat.name else "",
-        )
-        cat._op = op
-    return cat._op
+    return cat._memoized("op", lambda c: FinCat(
+        c.objects,
+        [(m, c.dst[m], c.src[m]) for m in c.morphisms],
+        c.identity,
+        {(f, g): h for (g, f), h in c.compose.items()},
+        name=f"{c.name}^op" if c.name else "",
+    ))
 
 
 # -- functors, natural transformations, full subcategories -------------------------
@@ -645,6 +676,10 @@ class FullSubcat:
 def iso_classes(cat: FinCat) -> tuple[tuple[str, ...], ...]:
     """Isomorphism classes of objects, each sorted, ordered by least member."""
     require_valid(cat)
+    return cat._memoized("iso_classes", _iso_classes)
+
+
+def _iso_classes(cat: FinCat) -> tuple[tuple[str, ...], ...]:
     remaining = set(cat.objects)
     classes = []
     for x in cat.objects:

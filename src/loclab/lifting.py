@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .fincat import (CategoryError, FinCat, Violation, binary_product, equalizer,
-                     pullback, require_valid, terminal_object)
+from .fincat import (CategoryError, FinCat, Violation, hypothesis_scan, is_mono, opposite,
+                     require_valid)
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,6 @@ class MorphismClass:
         self._same_cat(other)
         return MorphismClass(self.cat, self.members & other.members)
 
-    def issubset(self, other: "MorphismClass") -> bool:
-        self._same_cat(other)
-        return self.members <= other.members
-
 
 def isomorphisms(cat: FinCat) -> MorphismClass:
     require_valid(cat)
@@ -62,31 +58,15 @@ def isomorphisms(cat: FinCat) -> MorphismClass:
 
 
 def epimorphisms(cat: FinCat) -> MorphismClass:
+    """Epis of C are the monos of C^op, which shares morphism ids."""
     require_valid(cat)
-    epis = set()
-    for f in cat.morphisms:
-        d = cat.dst[f]
-        cancels = all(
-            u == v or cat.comp(u, f) != cat.comp(v, f)
-            for w in cat.objects for u in cat.hom(d, w) for v in cat.hom(d, w)
-        )
-        if cancels:
-            epis.add(f)
-    return MorphismClass(cat, frozenset(epis))
+    op = opposite(cat)
+    return MorphismClass(cat, frozenset(f for f in cat.morphisms if is_mono(op, f)))
 
 
 def monomorphisms(cat: FinCat) -> MorphismClass:
     require_valid(cat)
-    monos = set()
-    for f in cat.morphisms:
-        s = cat.src[f]
-        cancels = all(
-            u == v or cat.comp(f, u) != cat.comp(f, v)
-            for w in cat.objects for u in cat.hom(w, s) for v in cat.hom(w, s)
-        )
-        if cancels:
-            monos.add(f)
-    return MorphismClass(cat, frozenset(monos))
+    return MorphismClass(cat, frozenset(f for f in cat.morphisms if is_mono(cat, f)))
 
 
 # -- squares and lifts ---------------------------------------------------------
@@ -191,23 +171,13 @@ def is_finitely_well_complete(cat: FinCat) -> FwcReport:
     In a finite category every family of strong monomorphisms has finitely
     many distinct members, and its intersection is an iterated binary
     pullback, so the verdict reduces to the existence of finite limits;
-    that reduction is recorded in the report note.
+    that reduction is recorded in the report note.  The limits are the limit
+    half of the bicompleteness scan, searched in the same order.
     """
-    require_valid(cat)
     note = ("families of strong monomorphisms are finite here, so their "
             "intersections are iterated binary pullbacks; finite limits suffice")
-
-    if not terminal_object(cat).found:
-        return FwcReport(False, ("terminal",), note)
-    for a in cat.objects:
-        for b in cat.objects:
-            if a <= b and not binary_product(cat, a, b).found:
-                return FwcReport(False, ("binary-product", a, b), note)
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            if f <= g and cat.parallel(f, g) and not equalizer(cat, f, g).found:
-                return FwcReport(False, ("equalizer", f, g), note)
-    return FwcReport(True, None, note)
+    missing = hypothesis_scan(cat)[1]
+    return FwcReport(missing is None, missing, note)
 
 
 # -- factorization systems -----------------------------------------------------------
@@ -218,10 +188,6 @@ class FactorizationSystem:
     left: MorphismClass    # E
     right: MorphismClass   # M
     factor: dict           # morphism id -> (e id, m id)
-
-    def middle_object(self, f: str) -> str:
-        e, _ = self.factor[f]
-        return self.left.cat.dst[e]
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
-                     binary_coproduct, binary_product, identity_functor,
-                     is_finitely_bicomplete, require_valid, terminal_object)
-from .lifting import (MorphismClass, is_finitely_well_complete, isomorphisms,
-                      llp_class, retract_closure_counterexample, rlp_class)
+                     binary_coproduct, binary_product, identity_functor, opposite,
+                     require_hypotheses, require_valid, terminal_object)
+from .lifting import (MorphismClass, isomorphisms, llp_class,
+                      retract_closure_counterexample, rlp_class)
 from .monadkit import is_idempotent, monad_from_reflector, \
     monad_morphism_exists, naturally_equivalent, reflector_from_monad, verify_monad
 from .reflect import Reflector, certify_reflector, enumerate_replete_reflective, \
@@ -50,10 +50,7 @@ class ModelStructure:
 
 def discrete_structure(cat: FinCat) -> ModelStructure:
     """All maps cofibrations and fibrations; weak equivalences the isomorphisms."""
-    report = is_finitely_bicomplete(cat)
-    if not report.ok:
-        raise CategoryError(
-            f"category is not finitely bicomplete: missing {report.missing}")
+    require_hypotheses(cat)
     everything = MorphismClass.all_morphisms(cat)
     return ModelStructure(cat, everything, isomorphisms(cat), everything, "discrete")
 
@@ -61,18 +58,11 @@ def discrete_structure(cat: FinCat) -> ModelStructure:
 def localization_from_reflector(refl: Reflector) -> ModelStructure:
     """Bousfield localization of the discrete structure at a reflector."""
     cat = refl.cat
-    bicomplete = is_finitely_bicomplete(cat)
-    if not bicomplete.ok:
-        raise CategoryError(f"hypothesis failure: not finitely bicomplete, "
-                            f"missing {bicomplete.missing}")
-    fwc = is_finitely_well_complete(cat)
-    if not fwc.ok:
-        raise CategoryError(f"hypothesis failure: not finitely well-complete, "
-                            f"missing {fwc.missing}")
+    require_hypotheses(cat)
     bad = certify_reflector(refl)
     if bad:
         raise CategoryError(f"hypothesis failure: reflector certification: {bad[0]}")
-    we = inverted_class(refl).members
+    we = inverted_class(refl)
     return ModelStructure(
         base=cat,
         cof=MorphismClass.all_morphisms(cat),
@@ -448,8 +438,10 @@ def enumerate_localizations(cat: FinCat) -> LocalizationFamily:
     """One certified localization per replete reflective subcategory.
 
     The bijection with reflective subcategories reverses order: a larger
-    subcategory inverts fewer maps.
+    subcategory inverts fewer maps.  The hypotheses are checked once for the
+    family, so a category without reflectors (the empty one) is refused too.
     """
+    require_hypotheses(cat)
     reflectors = enumerate_replete_reflective(cat)
     structures = tuple(localization_from_reflector(r) for r in reflectors)
     members = tuple(tuple(sorted(r.members)) for r in reflectors)
@@ -466,8 +458,6 @@ def colocalizations_via_op(cat: FinCat) -> ColocalizationFamily:
     """Enumerate colocalizations by localizing the opposite category and
     transporting back (cofibrations and fibrations swap, weak equivalences
     are preserved; morphism ids are shared with the opposite)."""
-    from .fincat import opposite
-
     op = opposite(cat)
     op_family = enumerate_localizations(op)
     structures = []

@@ -88,10 +88,6 @@ def find_reflector(cat: FinCat, members) -> ReflectorSearch:
     require_valid(cat)
     members = frozenset(str(m) for m in members)
     subcat = FullSubcat(cat, members)
-    if not members:
-        witness = cat.objects[0] if cat.objects else None
-        return ReflectorSearch(None, witness)
-
     obj_map: dict = {}
     unit: dict = {}
     for x in cat.objects:
@@ -148,13 +144,15 @@ def certify_reflector(refl: Reflector) -> list[Violation]:
 def enumerate_replete_reflective(cat: FinCat) -> tuple[Reflector, ...]:
     """All replete reflective subcategories, via iso-closed subset search.
 
-    Iterates nonempty unions of isomorphism classes (repleteness is built in)
-    and keeps those admitting a reflector; output ordered by (size, members).
+    Iterates unions of isomorphism classes, the empty union included
+    (repleteness is built in), and keeps those admitting a reflector; output
+    ordered by (size, members).  The empty union is reflective only in the
+    empty category.
     """
     require_valid(cat)
     classes = iso_classes(cat)
     found = []
-    for k in range(1, len(classes) + 1):
+    for k in range(len(classes) + 1):
         for combo in combinations(range(len(classes)), k):
             members = frozenset().union(*(set(classes[i]) for i in combo))
             search = find_reflector(cat, members)
@@ -163,17 +161,10 @@ def enumerate_replete_reflective(cat: FinCat) -> tuple[Reflector, ...]:
     return tuple(sorted(found, key=lambda r: (len(r.members), tuple(sorted(r.members)))))
 
 
-@dataclass(frozen=True)
-class InvertedClass:
-    reflector: Reflector
-    members: MorphismClass
-
-
-def inverted_class(refl: Reflector) -> InvertedClass:
+def inverted_class(refl: Reflector) -> MorphismClass:
     """Morphisms sent to isomorphisms by the reflector."""
     cat = refl.cat
-    inverted = frozenset(f for f in cat.morphisms if cat.is_iso(refl.on_mor(f)))
-    return InvertedClass(refl, MorphismClass(cat, inverted))
+    return MorphismClass(cat, frozenset(f for f in cat.morphisms if cat.is_iso(refl.on_mor(f))))
 
 
 def chk_factorization(refl: Reflector, f: str) -> tuple[str, str]:
@@ -191,7 +182,7 @@ def chk_factorization(refl: Reflector, f: str) -> tuple[str, str]:
     if bad:
         raise CategoryError(f"reflector fails certification: {bad[0]}")
 
-    e_class = inverted_class(refl).members
+    e_class = inverted_class(refl)
     m_class = rlp_class(cat, e_class)
     x, y = cat.src[f], cat.dst[f]
 
@@ -219,7 +210,7 @@ def chk_factorization_system(refl: Reflector) -> "FactorizationSystem":
     from .lifting import FactorizationSystem
 
     cat = refl.cat
-    e_class = inverted_class(refl).members
+    e_class = inverted_class(refl)
     m_class = rlp_class(cat, e_class)
     factor = {f: chk_factorization(refl, f) for f in cat.morphisms}
     return FactorizationSystem(e_class, m_class, factor)

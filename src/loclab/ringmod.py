@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from math import prod
 
 from .snf import cokernel_invariants, presented_group_order
 
@@ -50,12 +51,6 @@ class FiniteRing:
 
     def times(self, a: str, b: str) -> str:
         return self.mul[(a, b)]
-
-    def neg(self, a: str) -> str:
-        for b in self.elements:
-            if self.add[(a, b)] == self.zero:
-                return b
-        raise RingError(f"{self.name}: no additive inverse for {a!r}")
 
 
 @dataclass(frozen=True)
@@ -149,6 +144,8 @@ def ring_product(factors: list[FiniteRing], name: str | None = None) -> FiniteRi
 
 def ring_polyquo(n: int, poly: list[int], name: str | None = None) -> FiniteRing:
     """(Z/n)[x] modulo a monic polynomial, elements as coefficient tuples."""
+    if n < 1:
+        raise RingError("(Z/n)[x] needs n >= 1")
     if not poly or poly[-1] % n != 1:
         raise RingError("modulus must be monic over Z/n")
     deg = len(poly) - 1
@@ -200,32 +197,50 @@ def ring_polyquo(n: int, poly: list[int], name: str | None = None) -> FiniteRing
 
 
 def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteRing:
-    """Build and validate a ring from its JSON spec."""
+    """Build and validate a ring from its JSON spec.
+
+    The order the spec describes is compared with `max_size` before the
+    ring's tables are built, and a spec with missing or ill-typed fields is a
+    `RingError`.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise RingError("ring spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind == "zn":
-        ring = ring_zn(int(spec["n"]), spec.get("name"))
-    elif kind == "product":
-        ring = ring_product([ring_from_spec(s, max_size) for s in spec["factors"]],
-                            spec.get("name"))
-    elif kind == "polyquo":
-        base = spec["base"]
-        if not isinstance(base, dict) or base.get("kind") != "zn":
-            raise RingError("polyquo base must be a zn spec")
-        ring = ring_polyquo(int(base["n"]), [int(c) for c in spec["poly"]], spec.get("name"))
-    elif kind == "tables":
-        els = [str(e) for e in spec["elements"]]
-        add = {(els[i], els[j]): str(spec["add"][i][j])
-               for i in range(len(els)) for j in range(len(els))}
-        mul = {(els[i], els[j]): str(spec["mul"][i][j])
-               for i in range(len(els)) for j in range(len(els))}
-        ring = FiniteRing(str(spec.get("name", "tables")), tuple(els), add, mul,
-                          str(spec["zero"]), str(spec["one"]))
-    else:
-        raise RingError(f"unknown ring spec kind {kind!r}")
-    if ring.order > max_size:
-        raise RingError(f"{ring.name}: {ring.order} elements exceeds the cap of {max_size}")
+
+    def capped(order: int) -> None:
+        if order > max_size:
+            raise RingError(f"{spec.get('name', kind)}: {order} elements exceeds the cap "
+                            f"of {max_size}")
+
+    try:
+        if kind == "zn":
+            n = int(spec["n"])
+            capped(n)
+            ring = ring_zn(n, spec.get("name"))
+        elif kind == "product":
+            factors = [ring_from_spec(s, max_size) for s in spec["factors"]]
+            capped(prod(r.order for r in factors))
+            ring = ring_product(factors, spec.get("name"))
+        elif kind == "polyquo":
+            base = spec["base"]
+            if not isinstance(base, dict) or base.get("kind") != "zn":
+                raise RingError("polyquo base must be a zn spec")
+            n, poly = int(base["n"]), [int(c) for c in spec["poly"]]
+            capped(n ** (len(poly) - 1))
+            ring = ring_polyquo(n, poly, spec.get("name"))
+        elif kind == "tables":
+            els = [str(e) for e in spec["elements"]]
+            capped(len(els))
+            add = {(els[i], els[j]): str(spec["add"][i][j])
+                   for i in range(len(els)) for j in range(len(els))}
+            mul = {(els[i], els[j]): str(spec["mul"][i][j])
+                   for i in range(len(els)) for j in range(len(els))}
+            ring = FiniteRing(str(spec.get("name", "tables")), tuple(els), add, mul,
+                              str(spec["zero"]), str(spec["one"]))
+        else:
+            raise RingError(f"unknown ring spec kind {kind!r}")
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise RingError(f"malformed {kind!r} ring spec: {type(exc).__name__}: {exc}") from exc
     require_valid_ring(ring)
     return ring
 

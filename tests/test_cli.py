@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from loclab import corpus
+from loclab import corpus, fincat, ringmod
 from loclab.cli import main
 
 
@@ -159,3 +159,101 @@ class TestDeterminism:
         for name in ("cat_assoc_broken", "cat_compose_srcdst"):
             code, _, _ = run(capsys, "validate", f"fixtures/bad/{name}")
             assert code == 1, name
+
+
+def write(tmp_path, name, data):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+class TestEmptyCategory:
+    @pytest.fixture
+    def empty(self, tmp_path):
+        return write(tmp_path, "empty", {"objects": [], "morphisms": [], "compose": []})
+
+    @pytest.mark.parametrize("command", ["enumerate-localizations", "colocalizations",
+                                         "bijections"])
+    def test_localization_commands_refuse_it(self, capsys, empty, command):
+        code, out, err = run(capsys, command, empty)
+        assert code == 2 and out == ""
+        assert "not finitely bicomplete, missing ('terminal',)" in err
+
+    def test_monads_reports_its_one_idempotent_monad(self, capsys, empty):
+        code, out, _ = run(capsys, "--format", "json", "monads", empty)
+        assert code == 0
+        assert json.loads(out) == {"count": 1, "monads": [
+            {"members": [], "laws_ok": True, "idempotent": True, "T_obj": {}}]}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("field", ["T_obj", "T_mor", "unit", "mult"])
+    def test_monad_file_missing_field(self, capsys, tmp_path, field):
+        data = corpus.load_json("fixtures/bad/monad_mutated_mult")
+        del data[field]
+        code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
+        assert code == 2 and out == "" and f"KeyError: '{field}'" in err
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "zn"},
+        {"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
+         "add": [["z", "u"], ["u"]], "mul": [["z", "z"], ["z", "u"]]},
+    ])
+    def test_malformed_ring_spec(self, capsys, tmp_path, spec):
+        code, out, err = run(capsys, "ring-check", "--ring", write(tmp_path, "ring", spec),
+                             "--algebra", "ring_z2", "--map", "hom_z4_to_z2")
+        assert code == 2 and out == "" and "malformed" in err
+
+    def test_objects_as_string(self, capsys, tmp_path):
+        path = write(tmp_path, "cat", {"objects": "ab", "morphisms": [], "compose": []})
+        code, out, err = run(capsys, "validate", path)
+        assert code == 2 and out == "" and "'objects' must be a JSON array" in err
+
+    def test_model_class_as_string(self, capsys, tmp_path):
+        data = corpus.load_json("fixtures/bad/model_dropped_fib")
+        data["fib"] = "".join(data["fib"])
+        code, out, err = run(capsys, "verify-model", write(tmp_path, "model", data))
+        assert code == 2 and out == "" and "'fib'" in err
+
+    def test_ring_cap_checked_before_tables_are_built(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ring tables built before the cap check")
+
+        monkeypatch.setattr(ringmod, "ring_zn", never)
+        path = write(tmp_path, "big", {"kind": "zn", "n": 10 ** 9})
+        code, out, err = run(capsys, "ring-check", "--ring", path, "--algebra", path,
+                             "--map", "hom_z4_id")
+        assert code == 2 and out == "" and "1000000000 elements exceeds the cap of 16" in err
+
+
+class TestCapsOnNestedCategories:
+    def test_verify_model(self, capsys):
+        code, out, err = run(capsys, "verify-model", "fixtures/bad/model_dropped_fib",
+                             "--max-objects", "1")
+        assert code == 2 and out == "" and "max-objects" in err
+
+    def test_monad_file(self, capsys):
+        code, out, err = run(capsys, "monads", "--monad-file",
+                             "fixtures/bad/monad_mutated_mult", "--max-objects", "2")
+        assert code == 2 and out == "" and "max-objects" in err
+
+
+class TestComputedOnce:
+    @pytest.mark.parametrize("command, names", [
+        ("bijections", {"diamond"}),
+        ("colocalizations", {"diamond", "diamond^op"}),
+    ])
+    def test_validation_and_hypotheses_once_per_category(self, capsys, monkeypatch,
+                                                         command, names):
+        calls = {"validate_category": [], "_scan_hypotheses": []}
+        for fn, seen in calls.items():
+            def counted(cat, original=getattr(fincat, fn), seen=seen):
+                seen.append(cat)
+                return original(cat)
+
+            monkeypatch.setattr(fincat, fn, counted)
+        code, _, _ = run(capsys, command, "diamond")
+        assert code == 0
+        for fn, seen in calls.items():
+            assert len({id(cat) for cat in seen}) == len(seen), fn
+            assert seen and {cat.name for cat in seen} <= names, fn

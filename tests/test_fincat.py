@@ -63,6 +63,14 @@ class TestValidation:
         assert validate_category(cat).ok
         assert not is_finitely_bicomplete(cat).ok
 
+    @pytest.mark.parametrize("field, value", [("objects", "ab"), ("morphisms", "m"),
+                                              ("compose", {}), ("identity", [])])
+    def test_ill_typed_field_rejected(self, field, value):
+        data = {"objects": ["a"], "morphisms": [], "compose": []}
+        data[field] = value
+        with pytest.raises(CategoryError):
+            make(data)
+
     def test_reserved_identity_collision(self):
         with pytest.raises(CategoryError):
             make({"objects": ["a"],

@@ -45,6 +45,10 @@ class TestConstructors:
         with pytest.raises(RingError):
             ring_polyquo(4, [0, 0, 2])
 
+    def test_polyquo_over_z0_rejected(self):
+        with pytest.raises(RingError):
+            ring_polyquo(0, [0, 1])
+
     def test_tables_kind(self):
         spec = {"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
                 "add": [["z", "u"], ["u", "z"]], "mul": [["z", "z"], ["z", "u"]]}
@@ -59,6 +63,15 @@ class TestConstructors:
     def test_size_cap(self):
         with pytest.raises(RingError):
             ring_from_spec({"kind": "zn", "n": 32})
+
+    @pytest.mark.parametrize("spec, order", [
+        ({"kind": "product", "factors": [{"kind": "zn", "n": 5}, {"kind": "zn", "n": 4}]}, 20),
+        ({"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": [1, 0, 0, 0, 0, 1]}, 32),
+        ({"kind": "tables", "elements": [str(i) for i in range(17)]}, 17),
+    ])
+    def test_size_cap_read_off_the_spec(self, spec, order):
+        with pytest.raises(RingError, match=f"{order} elements exceeds the cap of 16"):
+            ring_from_spec(spec)
 
     def test_corpus_ring_specs(self, rings):
         assert {r.order for r in rings.values()} == {2, 4, 6}
