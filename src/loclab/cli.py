@@ -248,6 +248,12 @@ def _monad_from_file(data: dict, args=DEFAULT_ARGS) -> MonadData:
     except (KeyError, TypeError, ValueError) as exc:
         raise CategoryError("monad file needs T_obj, T_mor, unit and mult as objects; "
                             f"{type(exc).__name__}: {exc}") from exc
+    for name, mapping, ids in (("T_obj", t_obj, set(cat.objects)),
+                               ("T_mor", t_mor, set(cat.morphisms))):
+        for key, value in mapping.items():
+            if not (isinstance(value, str) and value in ids and value in mapping):
+                raise CategoryError(f"monad file {name} sends {key} to {value!r}, which is "
+                                    "not an id of the category that it maps")
     functor = FunctorData(cat, cat, t_obj, t_mor)
     return MonadData(functor, NatTransData(identity_functor(cat), functor, unit),
                      NatTransData(compose_functors(functor, functor), functor, mult))
@@ -302,11 +308,19 @@ def cmd_bijections(args) -> Outcome:
     return Outcome(report.ok, payload, lines)
 
 
+def _read_ring_map(path: str) -> dict:
+    """A ring map file: a JSON object from elements to elements, bare or under "map"."""
+    data = _read_json(path)
+    mapping = data.get("map", data) if isinstance(data, dict) else data
+    if not isinstance(mapping, dict):
+        raise RingError(f"{path}: a ring map must be a JSON object, bare or under 'map'")
+    return {str(k): str(v) for k, v in mapping.items()}
+
+
 def cmd_ring_check(args) -> Outcome:
     ring = ring_from_spec(_read_json(args.ring), args.max_ring_elements)
     algebra = ring_from_spec(_read_json(args.algebra), args.max_ring_elements)
-    hom_map = _read_json(args.map)
-    hom = RingHom(ring, algebra, {str(k): str(v) for k, v in hom_map.get("map", hom_map).items()})
+    hom = RingHom(ring, algebra, _read_ring_map(args.map))
     verdict = localization_exists_verdict(hom)
     payload = {
         "localization_exists": verdict.exists,

@@ -22,6 +22,7 @@ from .fincat import CategoryError, FinCat, iso_classes, pushout, require_valid
 from .snf import cokernel_invariants
 
 TRUNCATED_ORDER_CAP = 64
+TRUNCATED_MATRIX_BUDGET = 100_000   # hom matrices one K_0 presentation may enumerate
 
 
 def _is_prime(n: int) -> bool:
@@ -84,6 +85,10 @@ class TruncatedAbelianCategory:
             for a in src:
                 total *= self.p ** min(a, b)
         return total
+
+    def matrix_count(self) -> int:
+        """Number of hom matrices over all pairs of objects, in closed form."""
+        return sum(self.hom_count(src, dst) for src in self.objects for dst in self.objects)
 
     def cofiber(self, src: Partition, dst: Partition, matrix) -> Partition:
         """Quotient of the target by the image, via the stacked presentation."""
@@ -155,11 +160,16 @@ def waldhausen_from_fincat(cat: FinCat, we) -> WaldhausenData:
 
 
 def waldhausen_truncated(p: int, bound: int, we_mode: str = "isos") -> WaldhausenData:
+    """Refused before any enumeration when its K_0 presentation would run
+    over `TRUNCATED_MATRIX_BUDGET` hom matrices."""
     if we_mode not in ("isos", "all"):
         raise CategoryError(f"unknown weak-equivalence mode {we_mode!r}")
-    return WaldhausenData("truncated-abelian",
-                          truncated=build_truncated_ab_category(p, bound),
-                          we_mode=we_mode)
+    trunc = build_truncated_ab_category(p, bound)
+    count = trunc.matrix_count()
+    if count > TRUNCATED_MATRIX_BUDGET:
+        raise CategoryError(f"p={p}, bound={bound} has {count} hom matrices, over the "
+                            f"budget of {TRUNCATED_MATRIX_BUDGET}")
+    return WaldhausenData("truncated-abelian", truncated=trunc, we_mode=we_mode)
 
 
 def cofiber(data: WaldhausenData, f: str) -> str:

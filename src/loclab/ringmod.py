@@ -1,23 +1,27 @@
 """Finite commutative rings and the tensor-square localization criterion.
 
-The tensor square of an algebra map phi: R -> S is presented as the free
-abelian group on S x S modulo biadditivity and R-balancing relations; its
-order comes out of the Smith normal form of the relation matrix.  The
-multiplication map (s, t) |-> s*t is a surjective group homomorphism (it hits
-s at (s, 1)), so between finite groups it is an isomorphism exactly when the
-orders match.  That order comparison is the whole localization-existence
-verdict: a Bousfield localization of the discrete structure on the module
-category with fibrant replacement given by base change along phi exists if
-and only if the multiplication map is an isomorphism.
+The tensor square of an algebra map phi: R -> S is presented on an additive
+basis of S.  The Smith normal form of the relations [a] + [b] - [a+b] splits
+the additive group as S = Z/d_1 g_1 + ... + Z/d_k g_k with k <= log2 |S|, so
+S (x)_Z S is the sum of the cyclic groups Z/gcd(d_i, d_j) on the k^2 pairs
+g_i (x) g_j.  The R-balancing relations phi(r) g_i (x) g_j - g_i (x) phi(r) g_j,
+written in that basis, cut it down to S (x)_R S; its order comes out of the
+Smith normal form of the relation matrix.  The multiplication map
+(s, t) |-> s*t is a surjective group homomorphism (it hits s at (s, 1)), so
+between finite groups it is an isomorphism exactly when the orders match.
+That order comparison is the whole localization-existence verdict: a
+Bousfield localization of the discrete structure on the module category with
+fibrant replacement given by base change along phi exists if and only if the
+multiplication map is an isomorphism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iproduct
-from math import prod
+from math import gcd, prod
 
-from .snf import cokernel_invariants, presented_group_order
+from .snf import cokernel_invariants, presented_group_order, smith_normal_form
 
 DEFAULT_MAX_RING_SIZE = 16
 
@@ -34,6 +38,7 @@ class FiniteRing:
     mul: dict      # (a, b) -> a * b
     zero: str
     one: str
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -52,6 +57,12 @@ class FiniteRing:
     def times(self, a: str, b: str) -> str:
         return self.mul[(a, b)]
 
+    def _memoized(self, key: str, compute):
+        """`compute(self)`, computed once for this instance."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        return self._memo[key]
+
 
 @dataclass(frozen=True)
 class RingReport:
@@ -63,13 +74,14 @@ class RingReport:
 def validate_ring(ring: FiniteRing) -> RingReport:
     """Exhaustive commutative-ring axioms over the tables."""
     els = ring.elements
+    members = set(els)
     for table, op in (("add", ring.add), ("mul", ring.mul)):
         for a in els:
             for b in els:
                 v = op.get((a, b))
                 if v is None:
                     return RingReport(False, f"{table}-total", (a, b))
-                if v not in set(els):
+                if v not in members:
                     return RingReport(False, f"{table}-closed", (a, b, v))
     for a in els:
         if ring.plus(a, ring.zero) != a:
@@ -98,7 +110,9 @@ def validate_ring(ring: FiniteRing) -> RingReport:
 
 
 def require_valid_ring(ring: FiniteRing) -> None:
-    report = validate_ring(ring)
+    """Raise unless the ring's `validate_ring` report, computed once per
+    instance, passes."""
+    report = ring._memoized("valid", validate_ring)
     if not report.ok:
         raise RingError(f"{ring.name}: ring axiom {report.law} fails at {report.witness}")
 
@@ -260,10 +274,11 @@ class RingHom:
 
 def validate_ring_hom(hom: RingHom) -> RingReport:
     r, s, h = hom.domain, hom.codomain, hom.map
+    targets = set(s.elements)
     for a in r.elements:
         if a not in h:
             return RingReport(False, "hom-total", (a,))
-        if h[a] not in set(s.elements):
+        if h[a] not in targets:
             return RingReport(False, "hom-image", (a, h[a]))
     if h[r.zero] != s.zero:
         return RingReport(False, "hom-zero", ())
@@ -347,52 +362,76 @@ class AbPresentation:
 @dataclass(frozen=True)
 class TensorSquare:
     hom: RingHom
-    generators: tuple[tuple[str, str], ...]   # (s, t) pair labels
+    generators: tuple[tuple[str, str], ...]   # (g_i, g_j) basis-label pairs
     presentation: AbPresentation
     order: int
 
 
-def tensor_square(hom: RingHom) -> TensorSquare:
-    """S (x)_R S presented on generators S x S.
+def additive_basis(ring: FiniteRing) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
+    """The additive group of the ring as Z/d_1 + ... + Z/d_k, each d_i > 1.
 
-    Relations: (s+s', t) - (s, t) - (s', t), (s, t+t') - (s, t) - (s, t'),
-    and (phi(r) s, t) - (s, phi(r) t) for all r, s, t.  Duplicate and zero
-    rows are dropped before the Smith normal form.
+    It is the free abelian group on the elements modulo [a] + [b] - [a+b].
+    The Smith normal form U A V = D of those relations gives the d_i as the
+    non-unit diagonal entries, and the coordinates of element e as row e of
+    V, each taken mod its d_i.  Returns the d_i and the coordinates.
+    """
+    els = ring.elements
+    n = len(els)
+    index = {e: i for i, e in enumerate(els)}
+    rows: set[tuple[int, ...]] = set()
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            row = [0] * n
+            row[i] += 1
+            row[index[b]] += 1
+            row[index[ring.plus(a, b)]] -= 1
+            rows.add(tuple(row))
+    snf = smith_normal_form(sorted(rows), n_cols=n)
+    order = snf.cokernel_order()
+    if order != n:
+        raise RingError(f"{ring.name}: additive presentation has order {order}, not {n}")
+    kept = [i for i, d in enumerate(snf.diagonal) if d != 1]
+    orders = tuple(snf.diagonal[i] for i in kept)
+    coords = {e: tuple(snf.v[index[e]][i] % snf.diagonal[i] for i in kept) for e in els}
+    return orders, coords
+
+
+def tensor_square(hom: RingHom) -> TensorSquare:
+    """S (x)_R S presented on the pairs g_i (x) g_j of an additive basis of S.
+
+    With S = Z/d_1 g_1 + ... + Z/d_k g_k (`additive_basis`), the relations
+    are gcd(d_i, d_j) (g_i (x) g_j) and, for each distinct c = phi(r),
+    (c g_i) (x) g_j - g_i (x) (c g_j) written in coordinates.  The balancing
+    relation is additive in r, s and t, so basis pairs and distinct images
+    give all of them.  Entries are reduced mod their column's gcd, and
+    duplicate and zero rows are dropped before the Smith normal form.
     """
     require_valid_hom(hom)
     s_ring = hom.codomain
-    els = s_ring.elements
-    n = len(els)
-    index = {e: i for i, e in enumerate(els)}
+    orders, coords = additive_basis(s_ring)
+    k = len(orders)
+    by_coords = {v: e for e, v in coords.items()}
+    basis = [by_coords[tuple(int(a == i) for a in range(k))] for i in range(k)]
+    moduli = [gcd(di, dj) for di in orders for dj in orders]
 
-    def gen(a: str, b: str) -> int:
-        return index[a] * n + index[b]
+    rows = {tuple(m if g == h else 0 for h in range(k * k)) for g, m in enumerate(moduli)}
+    for c in {hom(r) for r in hom.domain.elements}:
+        for i, gi in enumerate(basis):
+            for j, gj in enumerate(basis):
+                row = [0] * (k * k)
+                for a, x in enumerate(coords[s_ring.times(c, gi)]):
+                    row[a * k + j] += x
+                for b, y in enumerate(coords[s_ring.times(c, gj)]):
+                    row[i * k + b] -= y
+                row = [x % m for x, m in zip(row, moduli)]
+                if any(row):
+                    rows.add(tuple(row))
 
-    rows: set[tuple[int, ...]] = set()
-
-    def add_row(entries: list) -> None:
-        row = [0] * (n * n)
-        for g, c in entries:
-            row[g] += c
-        if any(row):
-            rows.add(tuple(row))
-
-    for a in els:
-        for b in els:
-            for t in els:
-                add_row([(gen(s_ring.plus(a, b), t), 1), (gen(a, t), -1), (gen(b, t), -1)])
-                add_row([(gen(t, s_ring.plus(a, b)), 1), (gen(t, a), -1), (gen(t, b), -1)])
-    for r in hom.domain.elements:
-        c = hom(r)
-        for a in els:
-            for b in els:
-                add_row([(gen(s_ring.times(c, a), b), 1), (gen(a, s_ring.times(c, b)), -1)])
-
-    presentation = AbPresentation(n * n, tuple(sorted(rows)))
+    presentation = AbPresentation(k * k, tuple(sorted(rows)))
     order = presentation.order()
     if order is None:
         raise RingError("tensor square came out infinite; relation matrix is defective")
-    generators = tuple((a, b) for a in els for b in els)
+    generators = tuple((gi, gj) for gi in basis for gj in basis)
     return TensorSquare(hom, generators, presentation, order)
 
 

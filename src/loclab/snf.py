@@ -37,10 +37,19 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    """Exact product, summing only the rows of `b` picked by nonzero entries
+    of `a`; the row transforms of a tall matrix are mostly zeros."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("shape mismatch in matrix product")
-    cols = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
 
 
 def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:

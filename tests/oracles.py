@@ -230,6 +230,55 @@ def ring_map_is_epi_on(hom, test_rings) -> bool:
     return True
 
 
+# -- tensor square on all pairs ---------------------------------------------------------
+
+
+def tensor_square_on_pairs(hom):
+    """S (x)_R S presented on generators S x S.
+
+    Relations: (s+s', t) - (s, t) - (s', t), (s, t+t') - (s, t) - (s, t'),
+    and (phi(r) s, t) - (s, phi(r) t) for all r, s, t.  Duplicate and zero
+    rows are dropped before the Smith normal form.
+    """
+    from loclab.ringmod import AbPresentation, RingError, TensorSquare, require_valid_hom
+
+    require_valid_hom(hom)
+    s_ring = hom.codomain
+    els = s_ring.elements
+    n = len(els)
+    index = {e: i for i, e in enumerate(els)}
+
+    def gen(a: str, b: str) -> int:
+        return index[a] * n + index[b]
+
+    rows: set[tuple[int, ...]] = set()
+
+    def add_row(entries: list) -> None:
+        row = [0] * (n * n)
+        for g, c in entries:
+            row[g] += c
+        if any(row):
+            rows.add(tuple(row))
+
+    for a in els:
+        for b in els:
+            for t in els:
+                add_row([(gen(s_ring.plus(a, b), t), 1), (gen(a, t), -1), (gen(b, t), -1)])
+                add_row([(gen(t, s_ring.plus(a, b)), 1), (gen(t, a), -1), (gen(t, b), -1)])
+    for r in hom.domain.elements:
+        c = hom(r)
+        for a in els:
+            for b in els:
+                add_row([(gen(s_ring.times(c, a), b), 1), (gen(a, s_ring.times(c, b)), -1)])
+
+    presentation = AbPresentation(n * n, tuple(sorted(rows)))
+    order = presentation.order()
+    if order is None:
+        raise RingError("tensor square came out infinite; relation matrix is defective")
+    generators = tuple((a, b) for a in els for b in els)
+    return TensorSquare(hom, generators, presentation, order)
+
+
 # -- minor-gcd invariant factors --------------------------------------------------------
 
 

@@ -226,6 +226,50 @@ class TestMalformedInputs:
         assert code == 2 and out == "" and "1000000000 elements exceeds the cap of 16" in err
 
 
+    @pytest.mark.parametrize("mapping", [[1, 2], {"map": [1]}])
+    def test_ring_map_not_an_object(self, capsys, tmp_path, mapping):
+        code, out, err = run(capsys, "ring-check", "--ring", "ring_z4", "--algebra", "ring_z2",
+                             "--map", write(tmp_path, "map", mapping))
+        assert code == 2 and out == "" and "a ring map must be a JSON object" in err
+
+    @pytest.mark.parametrize("field, key", [("T_obj", "x"), ("T_mor", "s")])
+    def test_monad_file_unknown_id(self, capsys, tmp_path, field, key):
+        data = corpus.load_json("fixtures/bad/monad_mutated_mult")
+        data[field][key] = "nowhere"
+        code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
+        assert code == 2 and out == "" and "'nowhere', which is not an id" in err
+
+    def test_monad_file_image_left_unmapped(self, capsys, tmp_path):
+        data = corpus.load_json("fixtures/bad/monad_mutated_mult")
+        data["T_obj"]["x"] = "y"
+        del data["T_obj"]["y"]
+        code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
+        assert code == 2 and out == "" and "sends x to 'y', which is not an id" in err
+
+    def test_k0_truncated_over_matrix_budget(self, capsys):
+        code, out, err = run(capsys, "k0", "--truncated-abelian", "p=2,bound=5")
+        assert code == 2 and out == "" and "38510027 hom matrices" in err
+
+
+class TestLargeRings:
+    @pytest.mark.parametrize("ring, algebra, mapping, code, order", [
+        ({"kind": "zn", "n": 16}, {"kind": "zn", "n": 16},
+         {str(i): str(i) for i in range(16)}, 0, 16),
+        ({"kind": "zn", "n": 12},
+         {"kind": "product", "factors": [{"kind": "zn", "n": 4}, {"kind": "zn", "n": 3}]},
+         {str(i): f"({i % 4},{i % 3})" for i in range(12)}, 0, 12),
+        ({"kind": "zn", "n": 2},
+         {"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": [1, 1, 0, 0, 1]},
+         {"0": "0", "1": "1"}, 1, 65536),
+    ])
+    def test_ring_check_at_the_cap(self, capsys, tmp_path, ring, algebra, mapping, code, order):
+        result, out, _ = run(capsys, "--format", "json", "ring-check",
+                             "--ring", write(tmp_path, "ring", ring),
+                             "--algebra", write(tmp_path, "algebra", algebra),
+                             "--map", write(tmp_path, "map", {"map": mapping}))
+        assert result == code and json.loads(out)["tensor_square_order"] == order
+
+
 class TestCapsOnNestedCategories:
     def test_verify_model(self, capsys):
         code, out, err = run(capsys, "verify-model", "fixtures/bad/model_dropped_fib",
@@ -239,6 +283,19 @@ class TestCapsOnNestedCategories:
 
 
 class TestComputedOnce:
+    def test_each_ring_validated_once(self, capsys, monkeypatch):
+        seen = []
+
+        def counted(ring, original=ringmod.validate_ring):
+            seen.append(ring)
+            return original(ring)
+
+        monkeypatch.setattr(ringmod, "validate_ring", counted)
+        code, _, _ = run(capsys, "ring-check", "--ring", "ring_z4", "--algebra", "ring_z2",
+                         "--map", "hom_z4_to_z2")
+        assert code == 0
+        assert sorted(ring.name for ring in seen) == ["Z/2", "Z/4"]
+
     @pytest.mark.parametrize("command, names", [
         ("bijections", {"diamond"}),
         ("colocalizations", {"diamond", "diamond^op"}),

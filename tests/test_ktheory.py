@@ -1,7 +1,8 @@
 import pytest
 
 from loclab.fincat import CategoryError
-from loclab.ktheory import (K0Presentation, build_truncated_ab_category, cofiber,
+from loclab.ktheory import (TRUNCATED_MATRIX_BUDGET, K0Presentation,
+                            build_truncated_ab_category, cofiber,
                             k0_group, k0_presentation, partition_label,
                             partitions_up_to, waldhausen_from_fincat,
                             waldhausen_truncated)
@@ -29,6 +30,16 @@ class TestTruncatedCategory:
         with pytest.raises(CategoryError):
             build_truncated_ab_category(2, 7)
         build_truncated_ab_category(2, 6)
+
+    def test_matrix_budget(self):
+        with pytest.raises(CategoryError, match="38510027 hom matrices"):
+            waldhausen_truncated(2, 5)
+        with pytest.raises(CategoryError, match="73354795389 hom matrices"):
+            waldhausen_truncated(2, 6, "all")
+        for p, bound, count in ((2, 4, 89657), (3, 3, 23509), (7, 2, 2674)):
+            assert build_truncated_ab_category(p, bound).matrix_count() == count
+            assert count <= TRUNCATED_MATRIX_BUDGET
+            waldhausen_truncated(p, bound, "all")
 
     def test_hom_counts_match_enumeration(self):
         trunc = build_truncated_ab_category(2, 3)

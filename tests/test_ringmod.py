@@ -1,11 +1,14 @@
+from itertools import product as iproduct
+from math import isqrt, lcm
+
 import pytest
 
 from loclab import corpus
-from loclab.ringmod import (AbPresentation, RingError, RingHom,
+from loclab.ringmod import (AbPresentation, RingError, RingHom, additive_basis,
                             localization_exists_verdict, mult_map_is_iso,
                             ring_from_spec, ring_homs, ring_polyquo, ring_product,
                             ring_zn, tensor_square, validate_ring, validate_ring_hom)
-from oracles import ring_map_is_epi_on
+from oracles import ring_map_is_epi_on, tensor_square_on_pairs
 
 
 def corpus_rings():
@@ -96,6 +99,46 @@ class TestHoms:
         assert len(ring_homs(rings["ring_z6"], rings["ring_z2"])) == 1
 
 
+def assert_swap_symmetric(presentation, n):
+    swapped_rows = []
+    for row in presentation.relations:
+        swapped = [0] * (n * n)
+        for idx, c in enumerate(row):
+            i, j = divmod(idx, n)
+            swapped[j * n + i] = c
+        swapped_rows.append(tuple(swapped))
+    swapped_pres = AbPresentation(n * n, tuple(sorted(set(swapped_rows))))
+    assert swapped_pres.invariant_factors() == presentation.invariant_factors()
+
+
+def diagonal_hom(factors):
+    n = lcm(*factors)
+    s = ring_product([ring_zn(a) for a in factors])
+    return RingHom(ring_zn(n), s, {str(i): "(" + ",".join(str(i % a) for a in factors) + ")"
+                                   for i in range(n)})
+
+
+def oracle_cases():
+    """Ring maps with targets of at most 8 elements, for the |S|^2 oracle."""
+    cases = [(name, hom(ring_from_spec(corpus.load_json(r)), ring_from_spec(corpus.load_json(s)),
+                        corpus.load_json(name)["map"]))
+             for name, r, s in (("hom_z4_to_z2", "ring_z4", "ring_z2"),
+                                ("hom_z6_to_z2", "ring_z6", "ring_z2"),
+                                ("hom_z2_to_z2_dual", "ring_z2", "ring_z2_dual"),
+                                ("hom_z2_diag_z2xz2", "ring_z2", "ring_z2xz2"),
+                                ("hom_z4_id", "ring_z4", "ring_z4"))]
+    cases += [(f"id Z/{n}", identity_hom(ring_zn(n))) for n in range(1, 9)]
+    cases += [(f"Z/{n} -> Z/{m}", hom(ring_zn(n), ring_zn(m), {str(i): str(i % m)
+                                                              for i in range(n)}))
+              for n in range(1, 17) for m in range(1, min(n, 9)) if n % m == 0]
+    cases += [(f"diagonal {factors}", diagonal_hom(factors))
+              for factors in ((2, 2), (2, 3), (2, 4), (2, 2, 2))]
+    cases += [(f"(Z/2)[x]/{poly}", RingHom(ring_zn(2), ring_polyquo(2, poly), {"0": "0", "1": "1"}))
+              for degree in (2, 3) for poly in (list(c) + [1]
+                                                for c in iproduct(range(2), repeat=degree))]
+    return [pytest.param(phi, id=name) for name, phi in cases]
+
+
 class TestTensorSquare:
     def test_identity_gives_ring_order(self, rings):
         for name, r in rings.items():
@@ -103,10 +146,11 @@ class TestTensorSquare:
             assert sq.order == r.order, name
 
     def test_z4_to_z2_frozen(self, rings):
-        sq = tensor_square(hom(rings["ring_z4"], rings["ring_z2"],
-                               corpus.load_json("hom_z4_to_z2")["map"]))
+        phi = hom(rings["ring_z4"], rings["ring_z2"], corpus.load_json("hom_z4_to_z2")["map"])
+        sq = tensor_square(phi)
         assert sq.order == 2
-        assert len(sq.generators) == 4
+        assert len(sq.generators) == 1
+        assert len(tensor_square_on_pairs(phi).generators) == 4
 
     def test_z2_to_dual_frozen(self, rings):
         sq = tensor_square(hom(rings["ring_z2"], rings["ring_z2_dual"],
@@ -117,21 +161,35 @@ class TestTensorSquare:
         # relabel generators (s, t) -> (t, s); the invariant factors must agree
         for name in ("ring_z4", "ring_z2_dual"):
             r = rings[name]
-            sq = tensor_square(identity_hom(r))
-            n = r.order
-            swapped_rows = []
-            for row in sq.presentation.relations:
-                swapped = [0] * (n * n)
-                for idx, c in enumerate(row):
-                    i, j = divmod(idx, n)
-                    swapped[j * n + i] = c
-                swapped_rows.append(tuple(swapped))
-            swapped_pres = AbPresentation(n * n, tuple(sorted(set(swapped_rows))))
-            assert swapped_pres.invariant_factors() == sq.presentation.invariant_factors()
+            sq = tensor_square_on_pairs(identity_hom(r))
+            assert_swap_symmetric(sq.presentation, r.order)
+
+    def test_symmetry_under_factor_swap_on_basis(self, rings):
+        # the same relabelling (g_i, g_j) -> (g_j, g_i) on the additive basis
+        for name in ("ring_z4", "ring_z2_dual", "ring_z2xz2", "ring_z6"):
+            sq = tensor_square(identity_hom(rings[name]))
+            assert_swap_symmetric(sq.presentation, isqrt(len(sq.generators)))
+        cubic = ring_polyquo(2, [1, 1, 0, 1])
+        sq = tensor_square(RingHom(ring_zn(2), cubic, {"0": "0", "1": "1"}))
+        assert len(sq.generators) == 9
+        assert_swap_symmetric(sq.presentation, 3)
 
     def test_presentation_finite(self, rings):
         sq = tensor_square(identity_hom(rings["ring_z6"]))
         assert sq.presentation.is_finite() and sq.order == 6
+
+    @pytest.mark.parametrize("phi", oracle_cases())
+    def test_agrees_with_pairs_oracle(self, phi):
+        sq, oracle = tensor_square(phi), tensor_square_on_pairs(phi)
+        assert sq.order == oracle.order
+        assert sq.presentation.invariant_factors() == oracle.presentation.invariant_factors()
+
+    def test_additive_basis(self):
+        assert additive_basis(ring_product([ring_zn(2), ring_zn(4)]))[0] == (2, 4)
+        assert additive_basis(ring_polyquo(2, [0, 0, 1]))[0] == (2, 2)
+        orders, coords = additive_basis(ring_zn(6))
+        assert orders == (6,) and len(set(coords.values())) == 6
+        assert additive_basis(ring_zn(1)) == ((), {"0": ()})
 
 
 class TestVerdicts:
