@@ -337,11 +337,14 @@ def cmd_ring_check(args) -> Outcome:
 def _parse_truncated_arg(arg: str) -> tuple[int, int]:
     try:
         spec = _read_json(arg)
-        if spec.get("kind") == "truncated-abelian":
-            return int(spec["p"]), int(spec["bound"])
-        raise CategoryError(f"{arg} is not a truncated-abelian spec")
     except (CategoryError, OSError):
-        pass
+        spec = None
+    if isinstance(spec, dict) and spec.get("kind") == "truncated-abelian":
+        try:
+            return int(spec["p"]), int(spec["bound"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CategoryError(
+                f"malformed truncated-abelian spec in {arg}: {exc!r}") from exc
     try:
         parts = dict(kv.split("=") for kv in arg.split(","))
         return int(parts["p"]), int(parts["bound"])

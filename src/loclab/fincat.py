@@ -10,14 +10,16 @@ package.
 Ids are opaque strings; all iteration is in sorted order, so every operation
 is deterministic.  Values are immutable after construction and every function
 is pure, so each fact derived from a category (its canonical key and hash,
-validation report, isomorphisms and iso classes, opposite, and (co)limit
-hypotheses) is computed once and kept in that instance's memo.
+validation report, isomorphisms and iso classes, opposite, (co)limit
+hypotheses, and every limit search, keyed by (shape, *args)) is computed once
+and kept in that instance's memo.  Colimits are limits in the opposite, so
+they are kept in the opposite's memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from dataclasses import dataclass, field, replace
+from itertools import combinations_with_replacement, product as iproduct
 
 RESERVED_ID_PREFIX = "id_"
 
@@ -70,7 +72,7 @@ class FinCat:
                                       if self.src[m] == s and self.dst[m] == d)
         self._memo: dict = {}
 
-    def _memoized(self, key: str, compute):
+    def _memoized(self, key, compute):
         """`compute(self)`, computed once for this instance."""
         if key not in self._memo:
             self._memo[key] = compute(self)
@@ -331,39 +333,56 @@ class LimitResult:
     apex: str | None = None
     legs: tuple[str, ...] = ()
     mediators: dict = field(default_factory=dict)
-    reason: str = ""
+
+
+def _limit(cat: FinCat, shape: str, args: tuple, targets: tuple, equation=None) -> LimitResult:
+    """`_universal_cone`, searched once per category and (shape, *args)."""
+    return cat._memoized((shape, *args),
+                         lambda c: _universal_cone(c, shape, args, targets, equation))
+
+
+def _universal_cone(cat: FinCat, shape: str, args: tuple, targets: tuple,
+                    equation) -> LimitResult:
+    """The least universal cone over `targets` in a valid category.
+
+    A cone from w has one leg w -> t per target t and, when `equation` is
+    (f, g), satisfies f . legs[0] == g . legs[-1].  Apexes and leg tuples are
+    tried in sorted order; the first one through which every cone from every
+    w factors by exactly one mediator wins.  Mediators are keyed (w, *cone),
+    or w alone when there are no targets.
+    """
+    compose, hom = cat.compose, cat._hom.get
+    f, g = equation or (None, None)
+    cones = {w: [c for c in iproduct(*[hom((w, t), ()) for t in targets])
+                 if f is None or compose[f, c[0]] == compose[g, c[-1]]]
+             for w in cat.objects}
+    for apex in cat.objects:
+        for legs in cones[apex]:
+            mediators, total = {}, 0
+            for w in cat.objects:
+                # legs . m is a cone for every m: w -> apex, so each cone from
+                # w has exactly one mediator iff there are as many maps as
+                # cones and their images are distinct.
+                n = len(cones[w])
+                ms = hom((w, apex), ())
+                if len(ms) != n:
+                    break
+                for m in ms:
+                    mediators[(w, *[compose[leg, m] for leg in legs]) if targets else w] = m
+                total += n
+                if len(mediators) != total:
+                    break
+            else:
+                return LimitResult(shape, args, True, apex, legs, mediators)
+    return LimitResult(shape, args, False)
 
 
 def terminal_object(cat: FinCat) -> LimitResult:
-    for t in cat.objects:
-        if all(len(cat.hom(x, t)) == 1 for x in cat.objects):
-            return LimitResult("terminal", (), True, t, (),
-                               {x: cat.hom(x, t)[0] for x in cat.objects})
-    return LimitResult("terminal", (), False, reason="no object admits a unique map from every object")
+    return _limit(cat, "terminal", (), ())
 
 
 def binary_product(cat: FinCat, a: str, b: str) -> LimitResult:
-    args = (a, b)
-    for apex in cat.objects:
-        for p in cat.hom(apex, a):
-            for q in cat.hom(apex, b):
-                mediators = _product_mediators(cat, apex, p, q, a, b)
-                if mediators is not None:
-                    return LimitResult("binary-product", args, True, apex, (p, q), mediators)
-    return LimitResult("binary-product", args, False, reason="no universal cone")
-
-
-def _product_mediators(cat, apex, p, q, a, b):
-    mediators = {}
-    for x in cat.objects:
-        for f in cat.hom(x, a):
-            for g in cat.hom(x, b):
-                ms = [m for m in cat.hom(x, apex)
-                      if cat.comp(p, m) == f and cat.comp(q, m) == g]
-                if len(ms) != 1:
-                    return None
-                mediators[(x, f, g)] = ms[0]
-    return mediators
+    return _limit(cat, "binary-product", (a, b), (a, b))
 
 
 def equalizer(cat: FinCat, f: str, g: str) -> LimitResult:
@@ -371,28 +390,7 @@ def equalizer(cat: FinCat, f: str, g: str) -> LimitResult:
     cat.require_morphism(g)
     if not cat.parallel(f, g):
         raise CategoryError(f"equalizer needs a parallel pair, got {f!r}, {g!r}")
-    args = (f, g)
-    x = cat.src[f]
-    for apex in cat.objects:
-        for e in cat.hom(apex, x):
-            if cat.comp(f, e) != cat.comp(g, e):
-                continue
-            mediators = {}
-            ok = True
-            for w in cat.objects:
-                for u in cat.hom(w, x):
-                    if cat.comp(f, u) != cat.comp(g, u):
-                        continue
-                    ms = [m for m in cat.hom(w, apex) if cat.comp(e, m) == u]
-                    if len(ms) != 1:
-                        ok = False
-                        break
-                    mediators[(w, u)] = ms[0]
-                if not ok:
-                    break
-            if ok:
-                return LimitResult("equalizer", args, True, apex, (e,), mediators)
-    return LimitResult("equalizer", args, False, reason="no universal fork")
+    return _limit(cat, "equalizer", (f, g), (cat.src[f],), (f, g))
 
 
 def pullback(cat: FinCat, f: str, g: str) -> LimitResult:
@@ -401,34 +399,7 @@ def pullback(cat: FinCat, f: str, g: str) -> LimitResult:
     cat.require_morphism(g)
     if cat.dst[f] != cat.dst[g]:
         raise CategoryError(f"pullback needs a cospan, got {f!r}, {g!r}")
-    args = (f, g)
-    a, b = cat.src[f], cat.src[g]
-    for apex in cat.objects:
-        for p in cat.hom(apex, a):
-            for q in cat.hom(apex, b):
-                if cat.comp(f, p) != cat.comp(g, q):
-                    continue
-                mediators = {}
-                ok = True
-                for w in cat.objects:
-                    for u in cat.hom(w, a):
-                        wanted = cat.comp(f, u)
-                        for v in cat.hom(w, b):
-                            if cat.comp(g, v) != wanted:
-                                continue
-                            ms = [m for m in cat.hom(w, apex)
-                                  if cat.comp(p, m) == u and cat.comp(q, m) == v]
-                            if len(ms) != 1:
-                                ok = False
-                                break
-                            mediators[(w, u, v)] = ms[0]
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    return LimitResult("pullback", args, True, apex, (p, q), mediators)
-    return LimitResult("pullback", args, False, reason="no universal cone over the cospan")
+    return _limit(cat, "pullback", (f, g), (cat.src[f], cat.src[g]), (f, g))
 
 
 def initial_object(cat: FinCat) -> LimitResult:
@@ -455,8 +426,7 @@ def pushout(cat: FinCat, f: str, g: str) -> LimitResult:
 def _dualize(result: LimitResult, shape: str) -> LimitResult:
     # Morphism ids are shared with the opposite category, so certificates
     # transport verbatim.
-    return LimitResult(shape, result.args, result.found, result.apex,
-                       result.legs, result.mediators, result.reason)
+    return replace(result, shape=shape)
 
 
 _SEARCHES = {

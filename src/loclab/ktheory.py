@@ -113,9 +113,10 @@ class TruncatedAbelianCategory:
             exps.append(e)
         return tuple(sorted((e for e in exps if e), reverse=True))
 
-    def is_iso(self, src: Partition, dst: Partition, matrix) -> bool:
-        # Surjective endomorphisms of a finite group are bijective.
-        return src == dst and self.cofiber(src, dst, matrix) == ()
+    def is_iso(self, src: Partition, dst: Partition, cofiber: Partition) -> bool:
+        """Decided from the map's cofiber: surjective endomorphisms of a
+        finite group are bijective."""
+        return src == dst and cofiber == ()
 
 
 def build_truncated_ab_category(p: int, bound: int) -> TruncatedAbelianCategory:
@@ -264,10 +265,11 @@ def _k0_truncated(data: WaldhausenData) -> K0Presentation:
         for dst in trunc.objects:
             a, b = gen_index[src], gen_index[dst]
             for matrix in trunc.hom_matrices(src, dst):
-                q = gen_index[trunc.cofiber(src, dst, matrix)]
+                quotient = trunc.cofiber(src, dst, matrix)
+                q = gen_index[quotient]
                 raw.append(([(a, 1), (q, 1), (b, -1)], "cofiber-sequence"))
                 n_cof += 1
-                is_we = data.we_mode == "all" or trunc.is_iso(src, dst, matrix)
+                is_we = data.we_mode == "all" or trunc.is_iso(src, dst, quotient)
                 if is_we:
                     raw.append(([(a, 1), (b, -1)], "weak-equivalence"))
                     n_we += 1

@@ -509,14 +509,13 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
         acyclic_fib = st.acyclic_fibrations()
         add(f"acyclic-fib-are-isos {label}",
             acyclic_fib.members == cat.isos(), "")
-        fo = fibrant_objects(st)
+        ho = homotopy_category(st)
+        fo, repl = ho.objects, ho.replacement
         add(f"fibrant-objects-match {label}", set(fo) == set(r.members), str(fo))
-        repl = fibrant_replacement_functor(st)
         add(f"replacement-fillers-unique {label}", repl.unique_fillers, "")
         add(f"replacement-functorial {label}", repl.functorial, "")
         add(f"replacement-adjunction {label}", repl.adjunction_ok,
             str(repl.adjunction_witness))
-        ho = homotopy_category(st)
         add(f"homotopy-category-equivalence {label}", ho.equivalence_ok, "")
         fib_ok, wit = maps_between_fibrants_are_fibrations(st)
         add(f"fibrant-maps-are-fibrations {label}", fib_ok, str(wit))
@@ -538,17 +537,9 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
             break
     add("loc-refl-loc-identity", round_ok, detail)
 
-    order_ok, detail = True, ""
-    for i, ri in enumerate(refls):
-        for j, rj in enumerate(refls):
-            incl = ri.members <= rj.members
-            rev = structures[j].we.members <= structures[i].we.members
-            if incl != rev:
-                order_ok, detail = False, f"{sorted(ri.members)} vs {sorted(rj.members)}"
-                break
-        if not order_ok:
-            break
-    add("loc-order-antitone", order_ok, detail)
+    detail = _order_mismatch(
+        refls, lambda i, j: structures[j].we.members <= structures[i].we.members)
+    add("loc-order-antitone", not detail, detail)
 
     monads = []
     for r in refls:
@@ -563,16 +554,18 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
             "")
         monads.append(m)
 
-    order_ok, detail = True, ""
-    for i, ri in enumerate(refls):
-        for j, rj in enumerate(refls):
-            incl = ri.members <= rj.members
-            morph = monad_morphism_exists(monads[j], monads[i]) is not None
-            if incl != morph:
-                order_ok, detail = False, f"{sorted(ri.members)} vs {sorted(rj.members)}"
-                break
-        if not order_ok:
-            break
-    add("monad-order-isomorphism", order_ok, detail)
+    detail = _order_mismatch(
+        refls, lambda i, j: monad_morphism_exists(monads[j], monads[i]) is not None)
+    add("monad-order-isomorphism", not detail, detail)
 
     return SuiteReport(cat, tuple(checks))
+
+
+def _order_mismatch(refls, related) -> str:
+    """The first pair (i, j), in order, where `refls[i] <= refls[j]` as
+    subcategories disagrees with `related(i, j)`, described; "" when none."""
+    for i, ri in enumerate(refls):
+        for j, rj in enumerate(refls):
+            if (ri.members <= rj.members) != related(i, j):
+                return f"{sorted(ri.members)} vs {sorted(rj.members)}"
+    return ""

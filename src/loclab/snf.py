@@ -127,8 +127,7 @@ class SnfResult:
         return prod(x for x in self.diagonal if x != 0)
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None,
-                      check: bool = True) -> SnfResult:
+def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None) -> SnfResult:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
     `n_cols` is only needed for a matrix with zero rows.
@@ -248,8 +247,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
         v=tuple(tuple(r) for r in v),
         v_inv=tuple(tuple(r) for r in v_inv),
     )
-    if check:
-        result.check()
+    result.check()
     return result
 
 

@@ -2,8 +2,9 @@
 
 Each function here recomputes a result by a different route than the library
 (closure-operator enumeration instead of universal-arrow search, raw square
-scans instead of the lifting helpers, minor gcds instead of the diagonal
-form), so agreement is meaningful.
+scans instead of the lifting helpers, a mediator count per competing cone
+instead of one pass over the maps into the apex, minor gcds instead of the
+diagonal form), so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -143,26 +144,61 @@ def rlp_members_oracle(cat: FinCat, left_members) -> frozenset:
     return frozenset(out)
 
 
+_DUALS = {"initial": "terminal", "binary-coproduct": "binary-product",
+          "pushout": "pullback", "coequalizer": "equalizer"}
+
+
+def _limit_side(cat: FinCat, shape: str) -> tuple:
+    """The category and limit shape a (co)limit is checked as: a colimit is
+    the dual limit in the opposite, which shares morphism ids."""
+    if shape in _DUALS:
+        from loclab.fincat import opposite
+        return opposite(cat), _DUALS[shape]
+    return cat, shape
+
+
 def recheck_limit_certificate(cat: FinCat, result) -> bool:
     """Re-enumerate competing cones independently and compare with the stored
     mediators (coverage, existence, uniqueness)."""
     if not result.found:
         return True
-    shape, args = result.shape, result.args
-    dual = shape in ("initial", "binary-coproduct", "pushout", "coequalizer")
-    if dual:
-        from loclab.fincat import opposite
-        cat = opposite(cat)
-    apex, legs = result.apex, result.legs
-    if shape in ("terminal", "initial"):
+    cat, shape = _limit_side(cat, result.shape)
+    return _certificate(cat, shape, result.args, result.apex, result.legs) == result.mediators
+
+
+def least_limit(cat: FinCat, shape: str, args: tuple) -> tuple:
+    """(found, apex, legs, mediators) for the first apex and leg tuple, in
+    sorted order, whose certificate checks; (False, None, (), {}) if none."""
+    cat, shape = _limit_side(cat, shape)
+    if shape == "terminal":
+        targets = ()
+    elif shape == "binary-product":
+        targets = tuple(args)
+    elif shape == "equalizer":
+        targets = (cat.src[args[0]],)
+    else:
+        targets = (cat.src[args[0]], cat.src[args[1]])
+    for apex in cat.objects:
+        for legs in iproduct(*[cat.hom(apex, t) for t in targets]):
+            mediators = _certificate(cat, shape, args, apex, legs)
+            if mediators is not None:
+                return True, apex, legs, mediators
+    return False, None, (), {}
+
+
+def _certificate(cat: FinCat, shape: str, args: tuple, apex: str, legs: tuple):
+    """The unique mediator of every competing cone through (apex, legs) of a
+    limit shape, or None when the legs are no cone or some cone has none or
+    several."""
+    if shape == "terminal":
         expected = {}
         for x in cat.objects:
             hom = cat.hom(x, apex)
             if len(hom) != 1:
-                return False
+                return None
             expected[x] = hom[0]
-        return expected == result.mediators
-    if shape in ("binary-product", "binary-coproduct"):
+        return expected
+    if shape == "binary-product":
         a, b = args
         p, q = legs
         expected = {}
@@ -172,15 +208,15 @@ def recheck_limit_certificate(cat: FinCat, result) -> bool:
                     ms = [m for m in cat.hom(x, apex)
                           if cat.comp(p, m) == f and cat.comp(q, m) == g]
                     if len(ms) != 1:
-                        return False
+                        return None
                     expected[(x, f, g)] = ms[0]
-        return expected == result.mediators
-    if shape in ("equalizer", "coequalizer"):
+        return expected
+    if shape == "equalizer":
         f, g = args
         (e,) = legs
         x = cat.src[f]
         if cat.comp(f, e) != cat.comp(g, e):
-            return False
+            return None
         expected = {}
         for w in cat.objects:
             for u in cat.hom(w, x):
@@ -188,15 +224,15 @@ def recheck_limit_certificate(cat: FinCat, result) -> bool:
                     continue
                 ms = [m for m in cat.hom(w, apex) if cat.comp(e, m) == u]
                 if len(ms) != 1:
-                    return False
+                    return None
                 expected[(w, u)] = ms[0]
-        return expected == result.mediators
-    if shape in ("pullback", "pushout"):
+        return expected
+    if shape == "pullback":
         f, g = args
         p, q = legs
         a, b = cat.src[f], cat.src[g]
         if cat.comp(f, p) != cat.comp(g, q):
-            return False
+            return None
         expected = {}
         for w in cat.objects:
             for u in cat.hom(w, a):
@@ -206,9 +242,9 @@ def recheck_limit_certificate(cat: FinCat, result) -> bool:
                     ms = [m for m in cat.hom(w, apex)
                           if cat.comp(p, m) == u and cat.comp(q, m) == v]
                     if len(ms) != 1:
-                        return False
+                        return None
                     expected[(w, u, v)] = ms[0]
-        return expected == result.mediators
+        return expected
     raise AssertionError(f"unknown shape {shape}")
 
 

@@ -246,6 +246,16 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
         assert code == 2 and out == "" and "sends x to 'y', which is not an id" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ([1, 2], "cannot parse truncated-abelian spec"),
+        ({"kind": "truncated-abelian", "p": "x", "bound": 3}, "ValueError"),
+        ({"kind": "truncated-abelian", "p": 2}, "KeyError('bound')"),
+    ])
+    def test_k0_truncated_malformed_file(self, capsys, tmp_path, spec, message):
+        code, out, err = run(capsys, "k0", "--truncated-abelian",
+                             write(tmp_path, "trunc", spec))
+        assert code == 2 and out == "" and message in err
+
     def test_k0_truncated_over_matrix_budget(self, capsys):
         code, out, err = run(capsys, "k0", "--truncated-abelian", "p=2,bound=5")
         assert code == 2 and out == "" and "38510027 hom matrices" in err
@@ -314,3 +324,19 @@ class TestComputedOnce:
         for fn, seen in calls.items():
             assert len({id(cat) for cat in seen}) == len(seen), fn
             assert seen and {cat.name for cat in seen} <= names, fn
+
+    @pytest.mark.parametrize("argv", [("bijections", "diamond"),
+                                      ("homotopy-category", "diamond", "--subcat", "a,top")])
+    def test_each_limit_searched_once_per_category(self, capsys, monkeypatch, argv):
+        seen = []
+
+        def counted(cat, shape, args, *rest, original=fincat._universal_cone):
+            seen.append((cat, shape, args))
+            return original(cat, shape, args, *rest)
+
+        monkeypatch.setattr(fincat, "_universal_cone", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0 and seen
+        # `seen` keeps every category alive, so no two of them share an id.
+        searches = [(id(cat), shape, args) for cat, shape, args in seen]
+        assert len(set(searches)) == len(searches)

@@ -145,6 +145,28 @@ class TestLimits:
                         assert recheck_limit_certificate(
                             cat, limit_search(cat, shape, a, b)), (name, shape, a, b)
 
+    @pytest.mark.parametrize("name", corpus.CATEGORIES)
+    def test_every_search_is_the_least_limit(self, cats, name):
+        from oracles import least_limit
+
+        cat = cats[name]
+        pairs = [(x, y) for x in cat.objects for y in cat.objects]
+        arrows = [(f, g) for f in cat.morphisms for g in cat.morphisms]
+        cases = [("terminal", ()), ("initial", ())]
+        cases += [(shape, pair) for pair in pairs
+                  for shape in ("binary-product", "binary-coproduct")]
+        cases += [(shape, (f, g)) for f, g in arrows if cat.parallel(f, g)
+                  for shape in ("equalizer", "coequalizer")]
+        cases += [("pullback", (f, g)) for f, g in arrows if cat.dst[f] == cat.dst[g]]
+        cases += [("pushout", (f, g)) for f, g in arrows if cat.src[f] == cat.src[g]]
+        for shape, args in cases:
+            r = limit_search(cat, shape, *args)
+            assert (r.found, r.apex, r.legs, r.mediators) == least_limit(cat, shape, args), \
+                (shape, args)
+
+    def test_searches_are_memoized(self, diamond):
+        assert binary_product(diamond, "a", "b") is binary_product(diamond, "a", "b")
+
     def test_nonparallel_equalizer_rejected(self, chain3):
         with pytest.raises(CategoryError):
             equalizer(chain3, "m_0_1", "m_1_2")
