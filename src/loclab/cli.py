@@ -254,6 +254,11 @@ def _monad_from_file(data: dict, args=DEFAULT_ARGS) -> MonadData:
             if not (isinstance(value, str) and value in ids and value in mapping):
                 raise CategoryError(f"monad file {name} sends {key} to {value!r}, which is "
                                     "not an id of the category that it maps")
+    for name, mapping in (("unit", unit), ("mult", mult)):
+        for key, value in mapping.items():
+            if not isinstance(value, str):
+                raise CategoryError(f"monad file {name} sends {key} to {value!r}, which is "
+                                    "not a morphism id")
     functor = FunctorData(cat, cat, t_obj, t_mor)
     return MonadData(functor, NatTransData(identity_functor(cat), functor, unit),
                      NatTransData(compose_functors(functor, functor), functor, mult))
@@ -341,12 +346,18 @@ def _parse_truncated_arg(arg: str) -> tuple[int, int]:
         spec = None
     if isinstance(spec, dict) and spec.get("kind") == "truncated-abelian":
         try:
-            return int(spec["p"]), int(spec["bound"])
-        except (KeyError, TypeError, ValueError) as exc:
+            p, bound = spec["p"], spec["bound"]
+            if type(p) is not int or type(bound) is not int:   # refuse floats, strings, bools
+                raise ValueError(f"p and bound must be integers, got {p!r} and {bound!r}")
+            return p, bound
+        except (KeyError, ValueError) as exc:
             raise CategoryError(
                 f"malformed truncated-abelian spec in {arg}: {exc!r}") from exc
     try:
-        parts = dict(kv.split("=") for kv in arg.split(","))
+        pairs = [kv.split("=") for kv in arg.split(",")]
+        parts = dict(pairs)
+        if sorted(k for k, _ in pairs) != ["bound", "p"]:
+            raise ValueError("need each of p and bound exactly once")
         return int(parts["p"]), int(parts["bound"])
     except (ValueError, KeyError) as exc:
         raise CategoryError(

@@ -18,7 +18,7 @@ they are kept in the opposite's memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product as iproduct
 
 RESERVED_ID_PREFIX = "id_"
@@ -426,7 +426,8 @@ def pushout(cat: FinCat, f: str, g: str) -> LimitResult:
 def _dualize(result: LimitResult, shape: str) -> LimitResult:
     # Morphism ids are shared with the opposite category, so certificates
     # transport verbatim.
-    return replace(result, shape=shape)
+    return LimitResult(shape, result.args, result.found, result.apex, result.legs,
+                       result.mediators)
 
 
 _SEARCHES = {

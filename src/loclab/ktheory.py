@@ -8,48 +8,79 @@ by row; the group is therefore trivial, and the suite checks exactly that.
 
 Two carriers are supported: an explicit pointed finite category (cofibers via
 certified pushout search) and the category of abelian p-groups of bounded
-order (cofibers via quotient presentations and Smith normal form).  The
-truncated carrier is not finitely bicomplete - products can exceed the bound -
-but cofibers are quotients and never grow, which is all the presentation needs.
+order.  The truncated carrier is not finitely bicomplete - products can exceed
+the bound - but cofibers are quotients and never grow, which is all the
+presentation needs.  No map of it is enumerated: the image of A -> B has a type
+mu contained in that of A, and B has a subgroup of type mu and cotype nu exactly
+when the Littlewood-Richardson coefficient c^B_{mu nu} is nonzero (Macdonald,
+"Symmetric Functions and Hall Polynomials", ch. II (4.3)).  The raw relation
+counts are closed forms: hom matrices, and under `isos` the sum of |Aut|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from math import isqrt, prod
 
 from .fincat import CategoryError, FinCat, iso_classes, pushout, require_valid
 from .snf import cokernel_invariants
 
 TRUNCATED_ORDER_CAP = 64
-TRUNCATED_MATRIX_BUDGET = 100_000   # hom matrices one K_0 presentation may enumerate
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 Partition = tuple[int, ...]   # descending exponents: (2, 1) stands for Z/p^2 + Z/p
 
 
 def partition_label(p: int, part: Partition) -> str:
-    if not part:
-        return "0"
-    return "x".join(f"Z/{p ** e}" for e in part)
+    return "x".join(f"Z/{p ** e}" for e in part) or "0"
 
 
 def partitions_up_to(bound: int) -> tuple[Partition, ...]:
     """All partitions with total at most `bound`, ordered by (total, partition)."""
-    out: list[Partition] = [()]
-    def grow(prefix: list[int], remaining: int, cap: int) -> None:
-        for k in range(min(cap, remaining), 0, -1):
-            part = prefix + [k]
-            out.append(tuple(part))
-            grow(part, remaining - k, k)
-    grow([], bound, bound)
-    return tuple(sorted(out, key=lambda q: (sum(q), q)))
+    def of(n: int, cap: int) -> list[Partition]:      # partitions of n into parts <= cap
+        return [()] if n == 0 else [(k, *rest) for k in range(min(n, cap), 0, -1)
+                                    for rest in of(n - k, k)]
+    return tuple(sorted((q for n in range(bound + 1) for q in of(n, n)),
+                        key=lambda q: (sum(q), q)))
+
+
+def contains(outer: Partition, inner: Partition) -> bool:
+    """Young-diagram containment: the type of a subgroup, or of a quotient."""
+    return len(inner) <= len(outer) and all(i <= o for i, o in zip(inner, outer))
+
+
+def lr_nonzero(lam: Partition, mu: Partition, nu: Partition) -> bool:
+    """Whether the Littlewood-Richardson coefficient c^lam_{mu nu} is nonzero.
+
+    Searches for one LR tableau: shape lam/mu filled with content nu, rows
+    weakly increasing, columns strictly increasing, and the word read row by
+    row from the top, each row right to left, a lattice word.
+    """
+    if not contains(lam, mu) or sum(lam) != sum(mu) + sum(nu):
+        return False
+    mu = mu + (0,) * (len(lam) - len(mu))
+    cells = [(r, c) for r, row in enumerate(lam) for c in range(row - 1, mu[r] - 1, -1)]
+    entry, used = {}, [0] * (len(nu) + 1)       # used[i]: entries i placed so far
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        r, c = cells[k]
+        for i in range(entry.get((r - 1, c), 0) + 1, entry.get((r, c + 1), len(nu)) + 1):
+            if used[i] < nu[i - 1] and (i == 1 or used[i] < used[i - 1]):
+                used[i] += 1
+                entry[r, c] = i
+                if fill(k + 1):
+                    return True
+                used[i] -= 1
+                del entry[r, c]
+        return False
+
+    return fill(0)
 
 
 @dataclass(frozen=True)
@@ -62,56 +93,39 @@ class TruncatedAbelianCategory:
     def label(self, part: Partition) -> str:
         return partition_label(self.p, part)
 
-    def hom_matrices(self, src: Partition, dst: Partition):
-        """All homomorphisms as integer matrices m[i][j]: generator j of the
-        source goes to sum_i m[i][j] * (generator i of the target); the entry
-        at (i, j) must be a multiple of p^max(0, dst_i - src_j)."""
-        p = self.p
-        choices = []
-        for i, b in enumerate(dst):
-            for j, a in enumerate(src):
-                step = p ** max(0, b - a)
-                choices.append(tuple(range(0, p ** b, step)))
-        if not choices:
-            yield ()
-            return
-        rows, cols = len(dst), len(src)
-        for flat in iproduct(*choices):
-            yield tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows))
-
     def hom_count(self, src: Partition, dst: Partition) -> int:
-        total = 1
-        for b in dst:
-            for a in src:
-                total *= self.p ** min(a, b)
-        return total
+        return prod(self.p ** min(a, b) for b in dst for a in src)
 
     def matrix_count(self) -> int:
         """Number of hom matrices over all pairs of objects, in closed form."""
         return sum(self.hom_count(src, dst) for src in self.objects for dst in self.objects)
 
+    def aut_count(self, part: Partition) -> int:
+        """|Aut| of the group of type `part` (Macdonald, ch. II §1):
+        p^(|part| + 2 n(part)) prod_i phi_{m_i}(1/p), where n(part) is
+        sum_i (i - 1) part_i, m_i the multiplicity of i, phi_m(t) the product
+        (1 - t)...(1 - t^m); each 1 - p^-k is written (p^k - 1) / p^k."""
+        p, mults = self.p, [part.count(e) for e in set(part)]
+        exponent = sum(part) + sum(2 * i * e for i, e in enumerate(part)) \
+            - sum(m * (m + 1) // 2 for m in mults)
+        return p ** exponent * prod(p ** k - 1 for m in mults for k in range(1, m + 1))
+
     def cofiber(self, src: Partition, dst: Partition, matrix) -> Partition:
-        """Quotient of the target by the image, via the stacked presentation."""
-        p = self.p
-        if not dst:
-            return ()
-        rows = [[p ** b if i == k else 0 for k in range(len(dst))]
-                for i, b in enumerate(dst)]
-        for j in range(len(src)):
-            rows.append([matrix[i][j] for i in range(len(dst))])
-        factors = cokernel_invariants(rows, len(dst))
+        """Quotient of the target by the image of one map, via the stacked
+        presentation.  K_0 reads its rows off partitions instead; this is the
+        per-map definition those rows are tested against."""
+        p, n = self.p, len(dst)
+        rows = [[p ** b if i == k else 0 for k in range(n)] for i, b in enumerate(dst)]
+        rows += [[matrix[i][j] for i in range(n)] for j in range(len(src))]
         exps = []
-        for d in factors:
-            if d == 0:
-                raise CategoryError("quotient of a finite group came out infinite")
+        for d in cokernel_invariants(rows, n) if n else []:     # units dropped: each e >= 1
             e = 0
-            while d > 1:
-                if d % p:
-                    raise CategoryError("quotient order not a p-power")
-                d //= p
-                e += 1
+            while d > 1 and d % p == 0:
+                d, e = d // p, e + 1
+            if d != 1:
+                raise CategoryError("quotient of a finite p-group is not a finite p-group")
             exps.append(e)
-        return tuple(sorted((e for e in exps if e), reverse=True))
+        return tuple(sorted(exps, reverse=True))
 
     def is_iso(self, src: Partition, dst: Partition, cofiber: Partition) -> bool:
         """Decided from the map's cofiber: surjective endomorphisms of a
@@ -146,11 +160,8 @@ class WaldhausenData:
 def waldhausen_from_fincat(cat: FinCat, we) -> WaldhausenData:
     """Checks that the category is pointed (an object both initial and terminal)."""
     require_valid(cat)
-    zero = None
-    for z in cat.objects:
-        if all(len(cat.hom(z, x)) == 1 and len(cat.hom(x, z)) == 1 for x in cat.objects):
-            zero = z
-            break
+    zero = next((z for z in cat.objects if all(
+        len(cat.hom(z, x)) == 1 and len(cat.hom(x, z)) == 1 for x in cat.objects)), None)
     if zero is None:
         raise CategoryError("category is not pointed: no zero object")
     members = frozenset(str(m) for m in we)
@@ -161,15 +172,9 @@ def waldhausen_from_fincat(cat: FinCat, we) -> WaldhausenData:
 
 
 def waldhausen_truncated(p: int, bound: int, we_mode: str = "isos") -> WaldhausenData:
-    """Refused before any enumeration when its K_0 presentation would run
-    over `TRUNCATED_MATRIX_BUDGET` hom matrices."""
     if we_mode not in ("isos", "all"):
         raise CategoryError(f"unknown weak-equivalence mode {we_mode!r}")
     trunc = build_truncated_ab_category(p, bound)
-    count = trunc.matrix_count()
-    if count > TRUNCATED_MATRIX_BUDGET:
-        raise CategoryError(f"p={p}, bound={bound} has {count} hom matrices, over the "
-                            f"budget of {TRUNCATED_MATRIX_BUDGET}")
     return WaldhausenData("truncated-abelian", truncated=trunc, we_mode=we_mode)
 
 
@@ -214,11 +219,10 @@ def _collect(n: int, raw: list) -> tuple[tuple, tuple]:
         row = [0] * n
         for g, c in entries:
             row[g] += c
-        key = tuple(row)
-        if any(key) and key not in seen:
-            seen[key] = tag
-    items = sorted(seen.items())
-    return tuple(k for k, _ in items), tuple(t for _, t in items)
+        if any(row):
+            seen.setdefault(tuple(row), tag)
+    keys = sorted(seen)
+    return tuple(keys), tuple(seen[k] for k in keys)
 
 
 def k0_presentation(data: WaldhausenData) -> K0Presentation:
@@ -232,49 +236,35 @@ def k0_presentation(data: WaldhausenData) -> K0Presentation:
 def _k0_fincat(data: WaldhausenData) -> K0Presentation:
     cat = data.cat
     classes = iso_classes(cat)
-    rep = {}
-    for cls in classes:
-        for x in cls:
-            rep[x] = cls[0]
-    gens = tuple(cls[0] for cls in classes)
-    gen_index = {g: i for i, g in enumerate(gens)}
-
+    gen_index = {x: i for i, cls in enumerate(classes) for x in cls}   # object -> its class
     raw = []
-    n_cof = n_we = 0
     for f in cat.morphisms:
-        a = gen_index[rep[cat.src[f]]]
-        b = gen_index[rep[cat.dst[f]]]
-        q = gen_index[rep[cofiber(data, f)]]
-        raw.append(([(a, 1), (q, 1), (b, -1)], "cofiber-sequence"))
-        n_cof += 1
+        a, b = gen_index[cat.src[f]], gen_index[cat.dst[f]]
+        raw.append(([(a, 1), (gen_index[cofiber(data, f)], 1), (b, -1)], "cofiber-sequence"))
         if f in data.we:
             raw.append(([(a, 1), (b, -1)], "weak-equivalence"))
-            n_we += 1
-    rows, tags = _collect(len(gens), raw)
-    return K0Presentation(gens, rows, tags, n_cof, n_we)
+    rows, tags = _collect(len(classes), raw)
+    return K0Presentation(tuple(cls[0] for cls in classes), rows, tags, len(cat.morphisms),
+                          sum(f in data.we for f in cat.morphisms))
 
 
 def _k0_truncated(data: WaldhausenData) -> K0Presentation:
+    """Rows from partitions: [A] + [nu] - [B] for each cotype nu of the image
+    of some map A -> B, and [A] - [B] for every pair under `all` (under `isos`
+    every weak-equivalence row is [A] - [A] = 0).  Counts in closed form."""
     trunc = data.truncated
-    gens = tuple(trunc.label(part) for part in trunc.objects)
-    gen_index = {part: i for i, part in enumerate(trunc.objects)}
-
-    raw = []
-    n_cof = n_we = 0
-    for src in trunc.objects:
-        for dst in trunc.objects:
-            a, b = gen_index[src], gen_index[dst]
-            for matrix in trunc.hom_matrices(src, dst):
-                quotient = trunc.cofiber(src, dst, matrix)
-                q = gen_index[quotient]
-                raw.append(([(a, 1), (q, 1), (b, -1)], "cofiber-sequence"))
-                n_cof += 1
-                is_we = data.we_mode == "all" or trunc.is_iso(src, dst, quotient)
-                if is_we:
-                    raw.append(([(a, 1), (b, -1)], "weak-equivalence"))
-                    n_we += 1
-    rows, tags = _collect(len(gens), raw)
-    return K0Presentation(gens, rows, tags, n_cof, n_we)
+    objects, n = trunc.objects, len(trunc.objects)
+    # per target B, (mu, index of nu) for each subgroup type mu and its cotype nu
+    subgroups = [[(mu, q) for mu in objects for q, nu in enumerate(objects)
+                  if lr_nonzero(dst, mu, nu)] for dst in objects]
+    raw = [([(a, 1), (q, 1), (b, -1)], "cofiber-sequence") for a, src in enumerate(objects)
+           for b in range(n) for mu, q in subgroups[b] if contains(src, mu)]
+    if data.we_mode == "all":
+        raw += [([(a, 1), (b, -1)], "weak-equivalence") for a in range(n) for b in range(n)]
+    rows, tags = _collect(n, raw)
+    n_maps = trunc.matrix_count()
+    n_we = n_maps if data.we_mode == "all" else sum(map(trunc.aut_count, objects))
+    return K0Presentation(tuple(map(trunc.label, objects)), rows, tags, n_maps, n_we)
 
 
 def k0_group(pres: K0Presentation) -> tuple[int, ...]:

@@ -144,14 +144,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
         n = n_cols or 0
 
     d = [row[:] for row in a]
-    u, u_inv = identity_matrix(m), identity_matrix(m)
+    u, u_inv_cols = identity_matrix(m), identity_matrix(m)   # Uinv is kept by columns
     v, v_inv = identity_matrix(n), identity_matrix(n)
 
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
-        for row in u_inv:
-            row[i], row[k] = row[k], row[i]
+        u_inv_cols[i], u_inv_cols[k] = u_inv_cols[k], u_inv_cols[i]
 
     def swap_cols(j, l):
         for row in d:
@@ -164,8 +163,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
         # row i += c * row k
         d[i] = [x + c * y for x, y in zip(d[i], d[k])]
         u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-        for row in u_inv:
-            row[k] -= c * row[i]
+        u_inv_cols[k] = [x - c * y for x, y in zip(u_inv_cols[k], u_inv_cols[i])]
 
     def col_add(j, l, c):
         # col j += c * col l
@@ -178,8 +176,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
-        for row in u_inv:
-            row[i] = -row[i]
+        u_inv_cols[i] = [-x for x in u_inv_cols[i]]
 
     def find_pivot(t):
         best = None
@@ -243,7 +240,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
         matrix=tuple(tuple(r) for r in a),
         d=tuple(tuple(r) for r in d),
         u=tuple(tuple(r) for r in u),
-        u_inv=tuple(tuple(r) for r in u_inv),
+        u_inv=tuple(zip(*u_inv_cols)),
         v=tuple(tuple(r) for r in v),
         v_inv=tuple(tuple(r) for r in v_inv),
     )

@@ -4,7 +4,8 @@ Each function here recomputes a result by a different route than the library
 (closure-operator enumeration instead of universal-arrow search, raw square
 scans instead of the lifting helpers, a mediator count per competing cone
 instead of one pass over the maps into the apex, minor gcds instead of the
-diagonal form), so agreement is meaningful.
+diagonal form, every hom matrix of a truncated abelian p-group category instead
+of Littlewood-Richardson support), so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -313,6 +314,53 @@ def tensor_square_on_pairs(hom):
         raise RingError("tensor square came out infinite; relation matrix is defective")
     generators = tuple((a, b) for a in els for b in els)
     return TensorSquare(hom, generators, presentation, order)
+
+
+# -- K0 of truncated abelian p-groups, map by map ----------------------------------------
+
+
+def hom_matrices(p: int, src: tuple, dst: tuple):
+    """All homomorphisms as integer matrices m[i][j]: generator j of the
+    source goes to sum_i m[i][j] * (generator i of the target); the entry
+    at (i, j) must be a multiple of p^max(0, dst_i - src_j)."""
+    choices = [tuple(range(0, p ** b, p ** max(0, b - a))) for b in dst for a in src]
+    rows, cols = len(dst), len(src)
+    for flat in iproduct(*choices):
+        yield tuple(tuple(flat[i * cols + j] for j in range(cols)) for i in range(rows))
+
+
+def truncated_maps(trunc) -> list:
+    """(source, target, cofiber, is_iso) for every hom matrix between objects."""
+    out = []
+    for src in trunc.objects:
+        for dst in trunc.objects:
+            for matrix in hom_matrices(trunc.p, src, dst):
+                quotient = trunc.cofiber(src, dst, matrix)
+                out.append((src, dst, quotient, trunc.is_iso(src, dst, quotient)))
+    return out
+
+
+def truncated_k0_by_maps(trunc, maps: list, we_mode: str) -> tuple:
+    """Distinct nonzero rows in sorted order, their tags (the first seen), and
+    the raw cofiber and weak-equivalence counts, one relation per map."""
+    index = {part: i for i, part in enumerate(trunc.objects)}
+    seen: dict = {}
+
+    def add(entries, tag):
+        row = [0] * len(index)
+        for part, c in entries:
+            row[index[part]] += c
+        if any(row):
+            seen.setdefault(tuple(row), tag)
+
+    n_we = 0
+    for src, dst, quotient, iso in maps:
+        add([(src, 1), (quotient, 1), (dst, -1)], "cofiber-sequence")
+        if we_mode == "all" or iso:
+            add([(src, 1), (dst, -1)], "weak-equivalence")
+            n_we += 1
+    rows = sorted(seen)
+    return tuple(rows), tuple(seen[r] for r in rows), len(maps), n_we
 
 
 # -- minor-gcd invariant factors --------------------------------------------------------

@@ -239,6 +239,15 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
         assert code == 2 and out == "" and "'nowhere', which is not an id" in err
 
+    @pytest.mark.parametrize("field, key, value", [("unit", "m", [1]), ("mult", "x", {"a": 1}),
+                                                    ("unit", "y", 3)])
+    def test_monad_file_component_not_an_id(self, capsys, tmp_path, field, key, value):
+        data = corpus.load_json("fixtures/bad/monad_mutated_mult")
+        data[field][key] = value
+        code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
+        assert code == 2 and out == "" and \
+            f"{field} sends {key} to {value!r}, which is not a morphism id" in err
+
     def test_monad_file_image_left_unmapped(self, capsys, tmp_path):
         data = corpus.load_json("fixtures/bad/monad_mutated_mult")
         data["T_obj"]["x"] = "y"
@@ -250,15 +259,28 @@ class TestMalformedInputs:
         ([1, 2], "cannot parse truncated-abelian spec"),
         ({"kind": "truncated-abelian", "p": "x", "bound": 3}, "ValueError"),
         ({"kind": "truncated-abelian", "p": 2}, "KeyError('bound')"),
+        ({"kind": "truncated-abelian", "p": 2, "bound": 2.9}, "p and bound must be integers"),
+        ({"kind": "truncated-abelian", "p": 2, "bound": 2.0}, "p and bound must be integers"),
+        ({"kind": "truncated-abelian", "p": "2", "bound": 2}, "p and bound must be integers"),
+        ({"kind": "truncated-abelian", "p": True, "bound": 2}, "p and bound must be integers"),
     ])
     def test_k0_truncated_malformed_file(self, capsys, tmp_path, spec, message):
         code, out, err = run(capsys, "k0", "--truncated-abelian",
                              write(tmp_path, "trunc", spec))
         assert code == 2 and out == "" and message in err
 
-    def test_k0_truncated_over_matrix_budget(self, capsys):
-        code, out, err = run(capsys, "k0", "--truncated-abelian", "p=2,bound=5")
-        assert code == 2 and out == "" and "38510027 hom matrices" in err
+    @pytest.mark.parametrize("arg", ["p=2,bound=2,p=3", "p=2,bound=2,bound=2",
+                                     "p=2,bound=2.9", "p=2,bound=2,q=1", "p=2"])
+    def test_k0_truncated_malformed_arg(self, capsys, arg):
+        code, out, err = run(capsys, "k0", "--truncated-abelian", arg)
+        assert code == 2 and out == "" and "cannot parse truncated-abelian spec" in err
+
+    @pytest.mark.parametrize("bound, maps", [(5, 38510027), (6, 73354795389)])
+    def test_k0_truncated_past_the_old_budget(self, capsys, bound, maps):
+        code, out, _ = run(capsys, "--format", "json", "k0", "--truncated-abelian",
+                           f"p=2,bound={bound}")
+        report = json.loads(out)
+        assert code == 0 and report["trivial"] and report["cofiber_relations"] == maps
 
 
 class TestLargeRings:

@@ -1,11 +1,17 @@
+from collections import Counter
+
 import pytest
 
 from loclab.fincat import CategoryError
-from loclab.ktheory import (TRUNCATED_MATRIX_BUDGET, K0Presentation,
-                            build_truncated_ab_category, cofiber,
-                            k0_group, k0_presentation, partition_label,
+from loclab.ktheory import (K0Presentation, build_truncated_ab_category, cofiber,
+                            k0_group, k0_presentation, lr_nonzero, partition_label,
                             partitions_up_to, waldhausen_from_fincat,
                             waldhausen_truncated)
+from oracles import hom_matrices, truncated_k0_by_maps, truncated_maps
+
+# Every case whose hom matrices enumerate quickly: p^bound <= 8, and bound 2
+# for p = 3, 5 and 7.
+ENUMERABLE = [(2, 1), (2, 2), (2, 3), (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (7, 2)]
 
 
 class TestTruncatedCategory:
@@ -31,21 +37,19 @@ class TestTruncatedCategory:
             build_truncated_ab_category(2, 7)
         build_truncated_ab_category(2, 6)
 
-    def test_matrix_budget(self):
-        with pytest.raises(CategoryError, match="38510027 hom matrices"):
-            waldhausen_truncated(2, 5)
-        with pytest.raises(CategoryError, match="73354795389 hom matrices"):
-            waldhausen_truncated(2, 6, "all")
-        for p, bound, count in ((2, 4, 89657), (3, 3, 23509), (7, 2, 2674)):
+    def test_matrix_counts_past_the_old_budget(self):
+        for p, bound, count in ((2, 4, 89657), (3, 3, 23509), (7, 2, 2674),
+                                (2, 5, 38510027), (2, 6, 73354795389)):
             assert build_truncated_ab_category(p, bound).matrix_count() == count
-            assert count <= TRUNCATED_MATRIX_BUDGET
-            waldhausen_truncated(p, bound, "all")
+            for mode in ("isos", "all"):
+                pres = k0_presentation(waldhausen_truncated(p, bound, mode))
+                assert pres.cofiber_relation_count == count
 
     def test_hom_counts_match_enumeration(self):
         trunc = build_truncated_ab_category(2, 3)
         for src in trunc.objects:
             for dst in trunc.objects:
-                assert sum(1 for _ in trunc.hom_matrices(src, dst)) == \
+                assert sum(1 for _ in hom_matrices(2, src, dst)) == \
                     trunc.hom_count(src, dst), (src, dst)
 
     def test_partitions_ordering(self):
@@ -72,7 +76,7 @@ class TestCofibers:
         trunc = build_truncated_ab_category(2, 2)
         for src in trunc.objects:
             for dst in trunc.objects:
-                for mat in trunc.hom_matrices(src, dst):
+                for mat in hom_matrices(2, src, dst):
                     assert sum(trunc.cofiber(src, dst, mat)) <= sum(dst)
 
     def test_fincat_cofiber_on_pointed_sets(self, cats):
@@ -130,6 +134,38 @@ class TestK0:
         assert set(pres.tags) <= {"cofiber-sequence", "weak-equivalence"}
         assert pres.cofiber_relation_count == 5    # 1 + 2 + 2 endomaps... all homs
         assert pres.we_relation_count == 5
+
+    @pytest.mark.parametrize("p,bound", ENUMERABLE)
+    def test_rows_match_matrix_enumeration(self, p, bound):
+        trunc = build_truncated_ab_category(p, bound)
+        maps = truncated_maps(trunc)
+        isos = Counter(src for src, _, _, iso in maps if iso)
+        assert {part: trunc.aut_count(part) for part in trunc.objects} == isos
+        for mode in ("isos", "all"):
+            pres = k0_presentation(waldhausen_truncated(p, bound, mode))
+            assert (pres.rows, pres.tags, pres.cofiber_relation_count,
+                    pres.we_relation_count) == truncated_k0_by_maps(trunc, maps, mode), mode
+
+    def test_distinct_row_counts(self):
+        counts = [len(k0_presentation(waldhausen_truncated(2, bound)).rows)
+                  for bound in range(1, 7)]
+        assert counts == [2, 10, 49, 235, 899, 3262]
+
+    @pytest.mark.parametrize("lam,mu,nu,nonzero", [
+        ((2, 1), (1, 1), (1,), True),
+        ((3,), (2,), (1,), True),
+        ((3,), (1, 1), (1,), False),
+        ((2, 2), (1, 1), (2,), False),
+        ((2, 2), (1, 1), (1, 1), True),
+        ((2, 1), (1,), (1, 1), True),
+        ((2, 1), (1,), (2,), True),
+        ((3, 2, 1), (2, 1), (2, 1), True),
+        ((2,), (1,), (2,), False),          # sizes disagree
+        ((1,), (2,), (), False),            # mu not inside lam
+    ])
+    def test_lr_support(self, lam, mu, nu, nonzero):
+        assert lr_nonzero(lam, mu, nu) == nonzero
+        assert lr_nonzero(lam, nu, mu) == nonzero     # c^lam_{mu nu} = c^lam_{nu mu}
 
     def test_group_conventions(self):
         assert k0_group(K0Presentation(("A",), (), (), 0, 0)) == (0,)
