@@ -42,7 +42,7 @@ def _read_json(path: str) -> dict:
     """A filesystem path, or a bundled corpus name as a fallback."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=corpus.unique_keys)
     except FileNotFoundError:
         return corpus.load_json(path)
     except json.JSONDecodeError as exc:
@@ -141,7 +141,7 @@ def _family_payload(family) -> dict:
              list(members), **st.classes_json()}
             for members, st in zip(family.subcat_members, family.structures)
         ],
-        "poset_hasse_edges": [list(e) for e in family.hasse_edges()],
+        "poset_hasse_edges": [list(e) for e in family.hasse_edges],
     }
 
 
@@ -170,7 +170,7 @@ def cmd_enumerate_localizations(args) -> Outcome:
     payload["all_verdicts_pass"] = all_ok
     lines.append("poset edges (Hasse): " +
                  (", ".join(f"{family.node_label(i)}<{family.node_label(j)}"
-                            for i, j in family.hasse_edges()) or "none"))
+                            for i, j in family.hasse_edges) or "none"))
     return Outcome(all_ok, payload, lines, dot=family.to_dot())
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .fincat import CategoryError, FinCat
+from .fincat import CategoryError
 
 CATEGORIES = ("chain2", "chain3", "chain4", "chain5", "chain6",
               "diamond", "pentagon",
@@ -43,6 +43,17 @@ def corpus_names() -> dict:
     }
 
 
+def unique_keys(pairs: list) -> dict:
+    """`object_pairs_hook` for every JSON input: a repeated key is an input
+    error, where plain `json` would silently keep the last value."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise CategoryError(f"repeated JSON key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_json(name: str) -> dict:
     """Load a corpus entry by bare name or fixtures/bad/... relative path."""
     rel = name if name.endswith(".json") else name + ".json"
@@ -51,11 +62,7 @@ def load_json(name: str) -> dict:
         text = path.read_text(encoding="utf-8")
     except (FileNotFoundError, OSError) as exc:
         raise CategoryError(f"no corpus entry named {name!r}") from exc
-    return json.loads(text)
-
-
-def load_category(name: str) -> FinCat:
-    return FinCat.from_json_dict(load_json(name))
+    return json.loads(text, object_pairs_hook=unique_keys)
 
 
 def export_all(dest) -> list:

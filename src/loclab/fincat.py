@@ -11,9 +11,9 @@ Ids are opaque strings; all iteration is in sorted order, so every operation
 is deterministic.  Values are immutable after construction and every function
 is pure, so each fact derived from a category (its canonical key and hash,
 validation report, isomorphisms and iso classes, opposite, (co)limit
-hypotheses, and every limit search, keyed by (shape, *args)) is computed once
-and kept in that instance's memo.  Colimits are limits in the opposite, so
-they are kept in the opposite's memo.
+hypotheses, every limit search, keyed by (shape, *args), and every extension
+set) is computed once and kept in that instance's memo.  Colimits are limits
+in the opposite, so they are kept in the opposite's memo.
 """
 
 from __future__ import annotations
@@ -102,11 +102,17 @@ class FinCat:
         if not self.has_morphism(m):
             raise CategoryError(f"unknown morphism id {m!r}")
 
-    def is_identity(self, m: str) -> bool:
-        return self.identity.get(self.src.get(m, "")) == m
-
     def parallel(self, f: str, g: str) -> bool:
         return self.src[f] == self.src[g] and self.dst[f] == self.dst[g]
+
+    def extensions(self, u: str, v: str) -> tuple[str, ...]:
+        """The maps w: dst(u) -> dst(v) with w . u == v, in hom order; v factors
+        uniquely through u exactly when there is one."""
+        key = ("extensions", u, v)
+        if key not in self._memo:
+            self._memo[key] = tuple(w for w in self.hom(self.dst[u], self.dst[v])
+                                    if self.comp(w, u) == v)
+        return self._memo[key]
 
     # -- isomorphisms --------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Lifting-property operators and factorization systems.
+"""Lifting-property operators, retracts and finite well-completeness.
 
 Right/left lifting classes are computed exactly, by enumerating every
 commuting square and searching for diagonal fillers.  Square enumeration
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .fincat import (CategoryError, FinCat, Violation, hypothesis_scan, is_mono, opposite,
-                     require_valid)
+from .fincat import CategoryError, FinCat, hypothesis_scan, is_mono, opposite, require_valid
 
 
 @dataclass(frozen=True)
@@ -39,16 +38,9 @@ class MorphismClass:
     def sorted_members(self) -> tuple[str, ...]:
         return tuple(sorted(self.members))
 
-    def _same_cat(self, other: "MorphismClass") -> None:
+    def intersection(self, other: "MorphismClass") -> "MorphismClass":
         if self.cat != other.cat:
             raise CategoryError("morphism classes live over different categories")
-
-    def union(self, other: "MorphismClass") -> "MorphismClass":
-        self._same_cat(other)
-        return MorphismClass(self.cat, self.members | other.members)
-
-    def intersection(self, other: "MorphismClass") -> "MorphismClass":
-        self._same_cat(other)
         return MorphismClass(self.cat, self.members & other.members)
 
 
@@ -81,16 +73,6 @@ def commuting_squares(cat: FinCat, g: str, f: str) -> Iterator[tuple[str, str]]:
                 yield top, bottom
 
 
-def has_lift(cat: FinCat, g: str, f: str, top: str, bottom: str) -> tuple[str, ...]:
-    """All diagonal fillers of the square; raises if the square does not commute."""
-    for m in (g, f, top, bottom):
-        cat.require_morphism(m)
-    if cat.comp(f, top) != cat.comp(bottom, g):
-        raise CategoryError(f"square ({g}, {f}, {top}, {bottom}) does not commute")
-    return tuple(h for h in cat.hom(cat.dst[g], cat.src[f])
-                 if cat.comp(h, g) == top and cat.comp(f, h) == bottom)
-
-
 def lifts_against(cat: FinCat, g: str, f: str) -> bool:
     """Does every commuting square with g on the left and f on the right fill?"""
     fillers = cat.hom(cat.dst[g], cat.src[f])
@@ -118,11 +100,6 @@ def llp_class(cat: FinCat, right: MorphismClass) -> MorphismClass:
         if all(lifts_against(cat, g, f) for f in right.sorted_members())
     )
     return MorphismClass(cat, members)
-
-
-def strong_monos(cat: FinCat) -> MorphismClass:
-    """Morphisms with the right lifting property against every epimorphism."""
-    return rlp_class(cat, epimorphisms(cat))
 
 
 # -- retracts in the arrow category ----------------------------------------------
@@ -178,48 +155,3 @@ def is_finitely_well_complete(cat: FinCat) -> FwcReport:
             "intersections are iterated binary pullbacks; finite limits suffice")
     missing = hypothesis_scan(cat)[1]
     return FwcReport(missing is None, missing, note)
-
-
-# -- factorization systems -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FactorizationSystem:
-    left: MorphismClass    # E
-    right: MorphismClass   # M
-    factor: dict           # morphism id -> (e id, m id)
-
-
-@dataclass(frozen=True)
-class FsReport:
-    ok: bool
-    failure: Violation | None = None
-
-
-def verify_factorization_system(cat: FinCat, left: MorphismClass, right: MorphismClass,
-                                factor: dict) -> FsReport:
-    """Check stored factorizations and both orthogonality equalities E^down = M,
-    M^up = E, each by exhaustive lifting; first (least) failure wins."""
-    require_valid(cat)
-    missing = [f for f in cat.morphisms if f not in factor]
-    if missing:
-        raise CategoryError(f"factorization map is not total; first missing: {missing[0]}")
-    for f in cat.morphisms:
-        e, m = factor[f]
-        cat.require_morphism(e)
-        cat.require_morphism(m)
-        if cat.comp(m, e) != f:
-            return FsReport(False, Violation("factor-composite", (f, e, m), "m.e != f"))
-        if e not in left:
-            return FsReport(False, Violation("factor-left-class", (f, e)))
-        if m not in right:
-            return FsReport(False, Violation("factor-right-class", (f, m)))
-    e_down = rlp_class(cat, left)
-    for w in sorted(e_down.members ^ right.members):
-        side = "E^down \\ M" if w in e_down else "M \\ E^down"
-        return FsReport(False, Violation("rlp-mismatch", (w,), side))
-    m_up = llp_class(cat, right)
-    for w in sorted(m_up.members ^ left.members):
-        side = "M^up \\ E" if w in m_up else "E \\ M^up"
-        return FsReport(False, Violation("llp-mismatch", (w,), side))
-    return FsReport(True)

@@ -11,7 +11,8 @@ is certified rather than assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
                      binary_coproduct, binary_product, identity_functor, opposite,
@@ -21,7 +22,7 @@ from .lifting import (MorphismClass, isomorphisms, llp_class,
 from .monadkit import is_idempotent, monad_from_reflector, \
     monad_morphism_exists, naturally_equivalent, reflector_from_monad, verify_monad
 from .reflect import Reflector, certify_reflector, enumerate_replete_reflective, \
-    find_reflector, inverted_class
+    find_reflector, inverted_class, non_universal_target
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,7 @@ def fibrant_replacement_functor(ms: ModelStructure) -> ReplacementFunctor:
     mor_map = {}
     counts = {}
     for f in cat.morphisms:
-        x, y = cat.src[f], cat.dst[f]
-        want = cat.comp(unit[y], f)
-        fillers = [g for g in cat.hom(obj_map[x], obj_map[y])
-                   if cat.comp(g, unit[x]) == want]
+        fillers = cat.extensions(unit[cat.src[f]], cat.comp(unit[cat.dst[f]], f))
         counts[f] = len(fillers)
         if fillers:
             mor_map[f] = fillers[0]
@@ -226,19 +224,16 @@ def fibrant_replacement_functor(ms: ModelStructure) -> ReplacementFunctor:
     nat = NatTransData(identity_functor(cat), functor, unit)
     functorial = functor.is_valid() and nat.is_valid()
 
-    adjunction_ok, witness = True, ()
-    fibrants = set(fibrant_objects(ms))
+    # The adjunction: - . unit[x] is a bijection hom(Px, b) -> hom(x, b) for
+    # every fibrant b; the witness is the first (x, b) where it is not.
+    witness: tuple = ()
+    fibrants = sorted(fibrant_objects(ms))
     for x in cat.objects:
-        for b in sorted(fibrants):
-            image = [cat.comp(w, unit[x]) for w in cat.hom(obj_map[x], b)]
-            bijective = len(set(image)) == len(image) and set(image) == set(cat.hom(x, b))
-            if not bijective:
-                adjunction_ok, witness = False, (x, b)
-                break
-        if not adjunction_ok:
+        b = non_universal_target(cat, fibrants, unit[x])
+        if b is not None:
+            witness = (x, b)
             break
-    return ReplacementFunctor(ms, functor, nat, counts, functorial,
-                              adjunction_ok, witness)
+    return ReplacementFunctor(ms, functor, nat, counts, functorial, not witness, witness)
 
 
 # -- homotopy relations -----------------------------------------------------------------
@@ -402,18 +397,22 @@ class StructureFamily:
         n = len(self.structures)
         return tuple(tuple(self.leq(i, j) for j in range(n)) for i in range(n))
 
+    @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        """The covering pairs (i, j) of the strict order, sorted.  up[i] is the
+        bitmask of the j strictly above i; the covers of i are the members of
+        up[i] that lie in no up[k] for k in up[i]."""
         n = len(self.structures)
+        up = [sum(1 << j for j in range(n) if self.leq(i, j) and not self.leq(j, i))
+              for i in range(n)]
         edges = []
         for i in range(n):
-            for j in range(n):
-                if i == j or not self.leq(i, j) or self.leq(j, i):
-                    continue
-                if any(k not in (i, j) and self.leq(i, k) and self.leq(k, j)
-                       and not self.leq(k, i) and not self.leq(j, k) for k in range(n)):
-                    continue
-                edges.append((i, j))
-        return tuple(sorted(edges))
+            covers = up[i]
+            for k in range(n):
+                if up[i] >> k & 1:
+                    covers &= ~up[k]
+            edges.extend((i, j) for j in range(n) if covers >> j & 1)
+        return tuple(edges)
 
     def node_label(self, i: int) -> str:
         return "{" + ",".join(self.subcat_members[i]) + "}"
@@ -423,7 +422,7 @@ class StructureFamily:
         lines = [f'digraph "{self.kind}s_{name}" {{', "  rankdir=BT;"]
         for i in range(len(self.structures)):
             lines.append(f'  n{i} [label="{self.node_label(i)}"];')
-        for i, j in self.hasse_edges():
+        for i, j in self.hasse_edges:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -112,9 +112,7 @@ def monad_from_reflector(refl: Reflector) -> MonadData:
     mu = {}
     for x in cat.objects:
         tx = refl.on_obj(x)
-        eta_tx = refl.unit_at(tx)
-        candidates = [w for w in cat.hom(refl.on_obj(tx), tx)
-                      if cat.comp(w, eta_tx) == cat.id_of(tx)]
+        candidates = cat.extensions(refl.unit_at(tx), cat.id_of(tx))
         if len(candidates) != 1:
             raise CategoryError(f"multiplication at {x!r} not uniquely determined")
         mu[x] = candidates[0]
@@ -166,8 +164,10 @@ def monad_morphism_exists(source: MonadData, target: MonadData,
     objects = list(cat.objects)
     candidates = []
     for x in objects:
+        # The unit law fixes c . eta_x; filtering keeps the canonical order.
         opts = [c for c in cat.hom(source.on_obj(x), target.on_obj(x))
-                if not isos_only or cat.is_iso(c)]
+                if (not isos_only or cat.is_iso(c))
+                and cat.comp(c, source.unit.at(x)) == target.unit.at(x)]
         if not opts:
             return None
         candidates.append(opts)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
-                     Violation, identity_functor, iso_classes, pullback, require_valid)
-from .lifting import MorphismClass, is_finitely_well_complete, rlp_class
+                     Violation, identity_functor, iso_classes, require_valid)
+from .lifting import MorphismClass
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,15 @@ def is_replete(cat: FinCat, members) -> bool:
     return True
 
 
-def _is_universal_arrow(cat: FinCat, members, x: str, a: str, u: str) -> bool:
-    for a2 in sorted(members):
-        for v in cat.hom(x, a2):
-            if sum(1 for w in cat.hom(a, a2) if cat.comp(w, u) == v) != 1:
-                return False
-    return True
+def non_universal_target(cat: FinCat, targets, u: str) -> str | None:
+    """The first b in `targets` with some v: src(u) -> b that does not factor
+    through u exactly once; None when u is universal for every target."""
+    x = cat.src[u]
+    for b in targets:
+        for v in cat.hom(x, b):
+            if len(cat.extensions(u, v)) != 1:
+                return b
+    return None
 
 
 def find_reflector(cat: FinCat, members) -> ReflectorSearch:
@@ -88,30 +91,22 @@ def find_reflector(cat: FinCat, members) -> ReflectorSearch:
     require_valid(cat)
     members = frozenset(str(m) for m in members)
     subcat = FullSubcat(cat, members)
+    targets = sorted(members)
     obj_map: dict = {}
     unit: dict = {}
     for x in cat.objects:
-        chosen = None
-        for a in sorted(members):
-            for u in cat.hom(x, a):
-                if _is_universal_arrow(cat, members, x, a, u):
-                    chosen = (a, u)
-                    break
-            if chosen:
-                break
+        chosen = next((u for a in targets for u in cat.hom(x, a)
+                       if non_universal_target(cat, targets, u) is None), None)
         if chosen is None:
             return ReflectorSearch(None, x)
-        obj_map[x], unit[x] = chosen
+        obj_map[x], unit[x] = cat.dst[chosen], chosen
 
     mor_map: dict = {}
     for f in cat.morphisms:
-        x, y = cat.src[f], cat.dst[f]
-        want = cat.comp(unit[y], f)
-        lifts = [w for w in cat.hom(obj_map[x], obj_map[y])
-                 if cat.comp(w, unit[x]) == want]
+        lifts = cat.extensions(unit[cat.src[f]], cat.comp(unit[cat.dst[f]], f))
         if len(lifts) != 1:
             raise CategoryError(
-                f"universal arrow at {x!r} failed to induce a unique map for {f!r}")
+                f"universal arrow at {cat.src[f]!r} failed to induce a unique map for {f!r}")
         mor_map[f] = lifts[0]
 
     functor = FunctorData(cat, cat, obj_map, mor_map)
@@ -132,10 +127,11 @@ def certify_reflector(refl: Reflector) -> list[Violation]:
     for x in cat.objects:
         if refl.on_obj(x) not in members:
             out.append(Violation("image-in-subcategory", (x, refl.on_obj(x))))
+    targets = sorted(members)
     for x in cat.objects:
-        if not _is_universal_arrow(cat, members, x, refl.on_obj(x), refl.unit_at(x)):
+        if non_universal_target(cat, targets, refl.unit_at(x)) is not None:
             out.append(Violation("universal-arrow", (x,)))
-    for a in sorted(members):
+    for a in targets:
         if not cat.is_iso(refl.unit_at(a)):
             out.append(Violation("unit-iso-on-members", (a,)))
     return out
@@ -165,52 +161,3 @@ def inverted_class(refl: Reflector) -> MorphismClass:
     """Morphisms sent to isomorphisms by the reflector."""
     cat = refl.cat
     return MorphismClass(cat, frozenset(f for f in cat.morphisms if cat.is_iso(refl.on_mor(f))))
-
-
-def chk_factorization(refl: Reflector, f: str) -> tuple[str, str]:
-    """Factor f as (map inverted by the reflector) . (map with RLP against those).
-
-    Realized through the pullback of  F(X) --Ff--> F(Y) <--unit-- Y  when it
-    exists, with an exhaustive fallback search otherwise.
-    """
-    cat = refl.cat
-    cat.require_morphism(f)
-    fwc = is_finitely_well_complete(cat)
-    if not fwc.ok:
-        raise CategoryError(f"category is not finitely well-complete: missing {fwc.missing}")
-    bad = certify_reflector(refl)
-    if bad:
-        raise CategoryError(f"reflector fails certification: {bad[0]}")
-
-    e_class = inverted_class(refl)
-    m_class = rlp_class(cat, e_class)
-    x, y = cat.src[f], cat.dst[f]
-
-    pb = pullback(cat, refl.on_mor(f), refl.unit_at(y))
-    if pb.found:
-        # Mediator of the cone (unit at X, f) over the cospan.
-        e = pb.mediators.get((x, refl.unit_at(x), f))
-        m = pb.legs[1]
-        if e is not None and e in e_class and m in m_class and cat.comp(m, e) == f:
-            return (e, m)
-    for z in cat.objects:
-        for e in cat.hom(x, z):
-            if e not in e_class:
-                continue
-            for m in cat.hom(z, y):
-                if m in m_class and cat.comp(m, e) == f:
-                    return (e, m)
-    raise CategoryError(
-        f"no (inverted, right-lifting) factorization found for {f!r}; "
-        "factorization-system hypotheses violated")
-
-
-def chk_factorization_system(refl: Reflector) -> "FactorizationSystem":
-    """Assemble the full factorization system induced by the reflector."""
-    from .lifting import FactorizationSystem
-
-    cat = refl.cat
-    e_class = inverted_class(refl)
-    m_class = rlp_class(cat, e_class)
-    factor = {f: chk_factorization(refl, f) for f in cat.morphisms}
-    return FactorizationSystem(e_class, m_class, factor)

@@ -1,12 +1,13 @@
 import pytest
 
 from loclab import corpus
+from loclab.fincat import FinCat
 
 
 @pytest.fixture(scope="session")
 def cats():
     """All bundled categories by name, loaded once."""
-    return {name: corpus.load_category(name) for name in corpus.CATEGORIES}
+    return {name: FinCat.from_json_dict(corpus.load_json(name)) for name in corpus.CATEGORIES}
 
 
 @pytest.fixture(scope="session")

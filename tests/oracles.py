@@ -145,6 +145,22 @@ def rlp_members_oracle(cat: FinCat, left_members) -> frozenset:
     return frozenset(out)
 
 
+# -- posets of structures ----------------------------------------------------------------
+
+
+def hasse_edges_by_triples(family) -> list:
+    """Covering pairs (i, j) of the strict inclusion order on weak-equivalence
+    classes, by testing every triple (i, j, k)."""
+    we = [st.we.members for st in family.structures]
+    n = len(we)
+
+    def lt(i, j):
+        return we[i] <= we[j] and not we[j] <= we[i]
+
+    return [(i, j) for i in range(n) for j in range(n)
+            if lt(i, j) and not any(lt(i, k) and lt(k, j) for k in range(n))]
+
+
 _DUALS = {"initial": "terminal", "binary-coproduct": "binary-product",
           "pushout": "pullback", "coequalizer": "equalizer"}
 

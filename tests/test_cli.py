@@ -275,6 +275,20 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "k0", "--truncated-abelian", arg)
         assert code == 2 and out == "" and "cannot parse truncated-abelian spec" in err
 
+    def test_k0_truncated_repeated_key(self, capsys, tmp_path):
+        path = tmp_path / "trunc.json"
+        path.write_text('{"kind": "truncated-abelian", "p": 2, "bound": 2, "p": 3}',
+                        encoding="utf-8")
+        code, out, err = run(capsys, "k0", "--truncated-abelian", str(path))
+        assert code == 2 and out == "" and "cannot parse truncated-abelian spec" in err
+
+    def test_category_repeated_key(self, capsys, tmp_path):
+        path = tmp_path / "cat.json"
+        path.write_text('{"objects": ["a"], "objects": ["a", "b"], "morphisms": [], '
+                        '"compose": []}', encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == "" and "repeated JSON key 'objects'" in err
+
     @pytest.mark.parametrize("bound, maps", [(5, 38510027), (6, 73354795389)])
     def test_k0_truncated_past_the_old_budget(self, capsys, bound, maps):
         code, out, _ = run(capsys, "--format", "json", "k0", "--truncated-abelian",

@@ -239,6 +239,23 @@ class TestFunctors:
         assert not bad.is_valid()
 
 
+class TestExtensions:
+    @pytest.mark.parametrize("name", ["finset2", "monoid_idem"])
+    def test_against_brute_force(self, cats, name):
+        cat = cats[name]
+        sizes = set()
+        for u in cat.morphisms:
+            for v in cat.morphisms:
+                if cat.src[v] != cat.src[u]:
+                    continue
+                want = tuple(w for w in cat.morphisms
+                             if cat.src[w] == cat.dst[u] and cat.dst[w] == cat.dst[v]
+                             and cat.compose[(w, u)] == v)
+                assert cat.extensions(u, v) == want, (u, v)
+                sizes.add(len(want))
+        assert {0, 1, 2} <= sizes, sizes   # hom-sets with several maps are covered
+
+
 class TestIsoClasses:
     def test_posets_have_singleton_classes(self, chain3):
         assert iso_classes(chain3) == (("0",), ("1",), ("2",))

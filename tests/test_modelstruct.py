@@ -12,7 +12,7 @@ from loclab.modelstruct import (ModelStructure, bijection_suite,
                                 maps_between_fibrants_are_fibrations,
                                 verify_model_axioms)
 from loclab.reflect import find_reflector
-from oracles import coreflective_members_direct
+from oracles import coreflective_members_direct, hasse_edges_by_triples
 
 
 def model_from_fixture(name):
@@ -192,6 +192,12 @@ class TestEnumerateLocalizations:
     def test_distinct_structures(self, diamond):
         fam = enumerate_localizations(diamond)
         assert len({st.we.members for st in fam.structures}) == len(fam.structures)
+
+    def test_hasse_edges_match_triple_oracle(self, lattices):
+        for name, cat in lattices.items():
+            for fam in (enumerate_localizations(cat), colocalizations_via_op(cat)):
+                assert fam.hasse_edges == tuple(hasse_edges_by_triples(fam)), (name, fam.kind)
+                assert fam.hasse_edges is fam.hasse_edges   # computed once per family
 
     def test_dot_output_deterministic(self, chain3):
         fam = enumerate_localizations(chain3)

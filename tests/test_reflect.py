@@ -1,9 +1,10 @@
 import pytest
 
 from loclab.fincat import CategoryError, FinCat
-from loclab.lifting import rlp_class, verify_factorization_system
-from loclab.reflect import (certify_reflector, chk_factorization,
-                            chk_factorization_system, enumerate_replete_reflective,
+from loclab.lifting import llp_class, rlp_class
+from loclab.modelstruct import (enumerate_localizations, localization_from_reflector,
+                                verify_model_axioms)
+from loclab.reflect import (certify_reflector, enumerate_replete_reflective,
                             find_reflector, inverted_class, is_replete)
 from oracles import closure_operator_fixed_sets, reflective_by_hom_bijection
 
@@ -140,36 +141,44 @@ class TestInvertedClass:
                     assert sum(trio) != 2, (sorted(r.members), f, g)
 
 
+def we_fib_factorizations(refl, f):
+    """Every (e, m) with m . e == f, e inverted by the reflector and m in its
+    right lifting class (the localization's weak equivalences and fibrations)."""
+    cat, ms = refl.cat, localization_from_reflector(refl)
+    return [(e, m) for z in cat.objects for e in cat.hom(cat.src[f], z) if e in ms.we
+            for m in cat.hom(z, cat.dst[f]) if m in ms.fib and cat.comp(m, e) == f]
+
+
 class TestChkFactorization:
+    """The (we, fib) pair of a localization is the reflective factorization
+    system of its reflector."""
+
     def test_identity_reflector_factors_trivially(self, chain3):
         r = find_reflector(chain3, set(chain3.objects)).reflector
-        e, m = chk_factorization(r, "m_0_2")
-        assert e == "id_0" and m == "m_0_2"
+        assert we_fib_factorizations(r, "m_0_2") == [("id_0", "m_0_2")]
 
     def test_frozen_example_on_chain3(self, chain3):
         r = find_reflector(chain3, {"1", "2"}).reflector
-        assert chk_factorization(r, "m_0_2") == ("m_0_1", "m_1_2")
+        assert we_fib_factorizations(r, "m_0_2") == [("m_0_1", "m_1_2")]
 
     def test_inverted_map_factors_as_itself(self, chain2):
         r = find_reflector(chain2, {"1"}).reflector
-        e, m = chk_factorization(r, "m_0_1")
-        assert chain2.comp(m, e) == "m_0_1"
-        assert e in inverted_class(r).members
+        assert we_fib_factorizations(r, "m_0_1") == [("m_0_1", "id_1")]
+        assert "m_0_1" in inverted_class(r).members
 
     def test_systems_verify_on_all_lattice_reflectors(self, lattices):
         for name, cat in lattices.items():
-            if name in ("chain5", "chain6"):
-                continue
-            for r in enumerate_replete_reflective(cat):
-                fs = chk_factorization_system(r)
-                rep = verify_factorization_system(cat, fs.left, fs.right, fs.factor)
-                assert rep.ok, (name, sorted(r.members), rep.failure)
+            for ms in enumerate_localizations(cat).structures:
+                label = (name, sorted(ms.reflector.members))
+                assert llp_class(cat, ms.fib).members == ms.we.members, label
+                assert rlp_class(cat, ms.we).members == ms.fib.members, label
+                assert verify_model_axioms(ms).ok, label
 
     def test_rejects_non_fwc_base(self, cats):
         fs2 = cats["finset2"]
         r = find_reflector(fs2, set(fs2.objects)).reflector
         with pytest.raises(CategoryError):
-            chk_factorization(r, "f12_0")
+            localization_from_reflector(r)
 
     def test_factorizations_unique_up_to_middle_iso(self, chain3, diamond):
         # enumerate every valid (inverted, rlp) factorization of every morphism
