@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -343,6 +344,8 @@ def _parse_truncated_arg(arg: str) -> tuple[int, int]:
     try:
         spec = _read_json(arg)
     except (CategoryError, OSError):
+        if os.path.isfile(arg):   # an unreadable spec file keeps its own reason
+            raise
         spec = None
     if isinstance(spec, dict) and spec.get("kind") == "truncated-abelian":
         try:

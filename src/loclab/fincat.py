@@ -11,9 +11,10 @@ Ids are opaque strings; all iteration is in sorted order, so every operation
 is deterministic.  Values are immutable after construction and every function
 is pure, so each fact derived from a category (its canonical key and hash,
 validation report, isomorphisms and iso classes, opposite, (co)limit
-hypotheses, every limit search, keyed by (shape, *args), and every extension
-set) is computed once and kept in that instance's memo.  Colimits are limits
-in the opposite, so they are kept in the opposite's memo.
+hypotheses, every limit search, keyed by (shape, *args), every extension
+set, and the lifting and retract row of each morphism) is computed once and
+kept in that instance's memo.  Colimits are limits in the opposite, so they
+are kept in the opposite's memo.
 """
 
 from __future__ import annotations
@@ -553,10 +554,11 @@ class FunctorData:
     def check(self) -> list[Violation]:
         """Exhaustively verify totality, endpoints, identities, composition."""
         out = []
+        targets = set(self.target.objects)
         for x in self.source.objects:
             if x not in self.obj_map:
                 out.append(Violation("functor-obj-total", (x,)))
-            elif self.obj_map[x] not in set(self.target.objects):
+            elif self.obj_map[x] not in targets:
                 out.append(Violation("functor-obj-target", (x, self.obj_map[x])))
         for f in self.source.morphisms:
             if f not in self.mor_map:
@@ -574,7 +576,7 @@ class FunctorData:
         for x in self.source.objects:
             if self.mor_map[self.source.id_of(x)] != self.target.id_of(self.obj_map[x]):
                 out.append(Violation("functor-identity", (x,)))
-        for (g, f), h in sorted(self.source.compose.items()):
+        for (g, f), h in self.source.canonical()[3]:
             got = self.target.comp(self.mor_map[g], self.mor_map[f])
             if got != self.mor_map[h]:
                 out.append(Violation("functor-composition", (g, f), f"F(g.f) != F(g).F(f) ({got})"))

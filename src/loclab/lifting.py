@@ -3,8 +3,11 @@
 Right/left lifting classes are computed exactly, by enumerating every
 commuting square and searching for diagonal fillers.  Square enumeration
 prunes on hom-set emptiness first, which keeps the O(|Mor|^4) worst case well
-inside corpus scale.  Counterexamples always report the lexicographically
-least witness.
+inside corpus scale.  Each fact is decided once per category: the row of g,
+the f with g ⧄ f (and the f that are retracts of g), is kept in the category's
+memo, and every class is read off those rows.  Colocalizations lift in the
+opposite, so their rows sit in the opposite's memo.  Counterexamples always
+report the lexicographically least witness.
 """
 
 from __future__ import annotations
@@ -84,22 +87,24 @@ def lifts_against(cat: FinCat, g: str, f: str) -> bool:
     return True
 
 
+def _lift_row(cat: FinCat, g: str) -> frozenset:
+    """The f with g ⧄ f, each square decided once for this category."""
+    return cat._memoized(("lift", g), lambda c: frozenset(
+        f for f in c.morphisms if lifts_against(c, g, f)))
+
+
 def rlp_class(cat: FinCat, left: MorphismClass) -> MorphismClass:
     require_valid(cat)
-    members = frozenset(
-        f for f in cat.morphisms
-        if all(lifts_against(cat, g, f) for g in left.sorted_members())
-    )
+    members = frozenset(cat.morphisms)
+    for g in left.members:
+        members &= _lift_row(cat, g)
     return MorphismClass(cat, members)
 
 
 def llp_class(cat: FinCat, right: MorphismClass) -> MorphismClass:
     require_valid(cat)
-    members = frozenset(
-        g for g in cat.morphisms
-        if all(lifts_against(cat, g, f) for f in right.sorted_members())
-    )
-    return MorphismClass(cat, members)
+    return MorphismClass(cat, frozenset(
+        g for g in cat.morphisms if right.members <= _lift_row(cat, g)))
 
 
 # -- retracts in the arrow category ----------------------------------------------
@@ -122,12 +127,20 @@ def is_retract(cat: FinCat, f: str, g: str) -> bool:
     return False
 
 
+def _retract_row(cat: FinCat, g: str) -> frozenset:
+    """The f that are retracts of g, each decided once for this category."""
+    return cat._memoized(("retract", g), lambda c: frozenset(
+        f for f in c.morphisms if is_retract(c, f, g)))
+
+
 def retract_closure_counterexample(cat: FinCat, cls: MorphismClass) -> tuple[str, str] | None:
     """Least (f, g) with g in the class, f a retract of g, f outside the class."""
-    outside = [f for f in cat.morphisms if f not in cls]
-    for f in outside:
-        for g in cls.sorted_members():
-            if is_retract(cat, f, g):
+    inside = cls.sorted_members()
+    for f in cat.morphisms:
+        if f in cls:
+            continue
+        for g in inside:
+            if f in _retract_row(cat, g):
                 return (f, g)
     return None
 

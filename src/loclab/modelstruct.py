@@ -118,12 +118,10 @@ def verify_model_axioms(ms: ModelStructure) -> AxiomReport:
 
     acyclic_fib = ms.acyclic_fibrations()
     acyclic_cof = ms.acyclic_cofibrations()
-    lhs = llp_class(cat, acyclic_fib)
-    diff = sorted(lhs.members ^ ms.cof.members)
-    results.append(("cof-equals-llp-acyclic-fib", not diff, tuple(diff[:1])))
-    lhs = llp_class(cat, ms.fib)
-    diff = sorted(lhs.members ^ acyclic_cof.members)
-    results.append(("acyclic-cof-equals-llp-fib", not diff, tuple(diff[:1])))
+    for name, right, left in (("cof-equals-llp-acyclic-fib", acyclic_fib, ms.cof),
+                              ("acyclic-cof-equals-llp-fib", ms.fib, acyclic_cof)):
+        diff = sorted(llp_class(cat, right).members ^ left.members)
+        results.append((name, not diff, tuple(diff[:1])))
 
     def factorization_exists(f: str, first: MorphismClass, second: MorphismClass) -> bool:
         x, y = cat.src[f], cat.dst[f]
@@ -136,18 +134,11 @@ def verify_model_axioms(ms: ModelStructure) -> AxiomReport:
                         return True
         return False
 
-    bad_f: tuple = ()
-    for f in cat.morphisms:
-        if not factorization_exists(f, acyclic_cof, ms.fib):
-            bad_f = (f,)
-            break
-    results.append(("factor-acyclic-cof-then-fib", not bad_f, bad_f))
-    bad_f = ()
-    for f in cat.morphisms:
-        if not factorization_exists(f, ms.cof, acyclic_fib):
-            bad_f = (f,)
-            break
-    results.append(("factor-cof-then-acyclic-fib", not bad_f, bad_f))
+    for name, first, second in (("factor-acyclic-cof-then-fib", acyclic_cof, ms.fib),
+                                ("factor-cof-then-acyclic-fib", ms.cof, acyclic_fib)):
+        bad_f = next(((f,) for f in cat.morphisms
+                      if not factorization_exists(f, first, second)), ())
+        results.append((name, not bad_f, bad_f))
 
     return AxiomReport(all(ok for _, ok, _ in results), tuple(results))
 
@@ -334,24 +325,14 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
             we_inverted, we_witness = False, (f,)
             break
 
-    rigidity, rigidity_witness = True, ()
-    fibrant_set = set(fibrants)
-    for a in cat.objects:
-        for b in sorted(fibrant_set):
-            homs = cat.hom(a, b)
-            for f in homs:
-                for g in homs:
-                    rep = homotopy_relations(ms, f, g)
-                    expected = f == g
-                    if rep.left != expected or rep.right != expected:
-                        rigidity, rigidity_witness = False, (f, g)
-                        break
-                if not rigidity:
-                    break
-            if not rigidity:
-                break
-        if not rigidity:
-            break
+    def rigid(f: str, g: str) -> bool:
+        rep = homotopy_relations(ms, f, g)
+        return rep.left == rep.right == (f == g)
+
+    rigidity_witness = next(((f, g) for a in cat.objects for b in sorted(fibrants)
+                             for f in cat.hom(a, b) for g in cat.hom(a, b)
+                             if not rigid(f, g)), ())
+    rigidity = not rigidity_witness
 
     acyclic_cof = ms.acyclic_cofibrations()
     ess_surj = all(repl.unit.components[x] in acyclic_cof for x in cat.objects)

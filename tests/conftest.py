@@ -28,3 +28,28 @@ def chain2(cats):
 @pytest.fixture(scope="session")
 def diamond(cats):
     return cats["diamond"]
+
+
+def poset_category(name, elements, leq) -> FinCat:
+    """The thin category of a finite order, with ids m_<a>_<b> as the bench writes them."""
+    arrows = [(a, b) for a in elements for b in elements if a != b and leq(a, b)]
+    mor = {(a, b): f"m_{a}_{b}" for a, b in arrows}
+    mor.update({(a, a): f"id_{a}" for a in elements})
+    compose = [{"g": mor[(b, c)], "f": mor[(a, b)], "gf": mor[(a, c)]}
+               for (a, b) in arrows for (b2, c) in arrows if b2 == b]
+    return FinCat.from_json_dict({
+        "name": name, "objects": list(elements),
+        "morphisms": [{"id": mor[arrow], "src": arrow[0], "dst": arrow[1]} for arrow in arrows],
+        "compose": compose})
+
+
+@pytest.fixture(scope="session")
+def bench_lattices():
+    """The 8-element lattices of the lattice-8 benchmark: chain8, B3 and grid2x4."""
+    chain = [str(i) for i in range(8)]
+    cube = [format(i, "03b") for i in range(8)]
+    grid = [f"{i}{j}" for i in range(2) for j in range(4)]
+    below = lambda a, b: all(x <= y for x, y in zip(a, b))
+    return {"chain8": poset_category("chain8", chain, lambda a, b: int(a) <= int(b)),
+            "B3": poset_category("B3", cube, below),
+            "grid2x4": poset_category("grid2x4", grid, below)}

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from loclab import corpus, fincat, ringmod
+from loclab import corpus, fincat, lifting, ringmod
 from loclab.cli import main
 
 
@@ -280,7 +280,15 @@ class TestMalformedInputs:
         path.write_text('{"kind": "truncated-abelian", "p": 2, "bound": 2, "p": 3}',
                         encoding="utf-8")
         code, out, err = run(capsys, "k0", "--truncated-abelian", str(path))
-        assert code == 2 and out == "" and "cannot parse truncated-abelian spec" in err
+        assert code == 2 and out == "" and "repeated JSON key 'p'" in err
+        assert "expected p=2,bound=3" not in err
+
+    def test_k0_truncated_malformed_json(self, capsys, tmp_path):
+        path = tmp_path / "trunc.json"
+        path.write_text('{"kind": "truncated-abelian", "p": 2,', encoding="utf-8")
+        code, out, err = run(capsys, "k0", "--truncated-abelian", str(path))
+        assert code == 2 and out == "" and f"malformed JSON in {path}" in err
+        assert "expected p=2,bound=3" not in err
 
     def test_category_repeated_key(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
@@ -376,3 +384,27 @@ class TestComputedOnce:
         # `seen` keeps every category alive, so no two of them share an id.
         searches = [(id(cat), shape, args) for cat, shape, args in seen]
         assert len(set(searches)) == len(searches)
+
+    # pentagon has 13 maps, so a category has 169 (g, f) pairs; colocalizations
+    # decides lifts in pentagon^op and again in pentagon, where its axioms are
+    # checked.  Deciding each square per class took 3,469 and 4,043 calls.
+    @pytest.mark.parametrize("command, lifts, retracts", [
+        ("enumerate-localizations", 169, 169),
+        ("colocalizations", 338, 169),
+    ])
+    def test_each_square_and_retract_decided_once_per_category(
+            self, capsys, monkeypatch, command, lifts, retracts):
+        seen = {"lifts_against": [], "is_retract": []}
+        for fn, calls in seen.items():
+            def counted(cat, x, y, original=getattr(lifting, fn), calls=calls):
+                calls.append((cat, x, y))
+                return original(cat, x, y)
+
+            monkeypatch.setattr(lifting, fn, counted)
+        code, _, _ = run(capsys, command, "pentagon")
+        assert code == 0
+        # `seen` keeps every category alive, so no two of them share an id.
+        for fn, calls in seen.items():
+            decided = [(id(cat), x, y) for cat, x, y in calls]
+            assert len(set(decided)) == len(decided), fn
+        assert (len(seen["lifts_against"]), len(seen["is_retract"])) == (lifts, retracts)

@@ -1,6 +1,9 @@
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from loclab.fincat import pullback
+from loclab.fincat import opposite, pullback
 from loclab.lifting import (MorphismClass, commuting_squares, epimorphisms,
                             is_finitely_well_complete, is_retract, isomorphisms,
                             lifts_against, llp_class, monomorphisms,
@@ -143,6 +146,68 @@ class TestRetracts:
             for i in ids:
                 if is_retract(chain3, f, i):
                     assert f in ids
+
+
+def sample_classes(cat):
+    """Classes over one category: the extremes, the non-identities and seeded random
+    subsets of several densities.  They share the category, so its rows are reused."""
+    rng = random.Random(cat.name)
+    mors = list(cat.morphisms)
+    ids = set(cat.identity.values())
+    classes = [mors, [], sorted(cat.isos()), [m for m in mors if m not in ids]]
+    classes += [[m for m in mors if rng.random() < density]
+                for density in (0.2, 0.4, 0.6, 0.8) for _ in range(2)]
+    return [MorphismClass.of(cat, members) for members in classes]
+
+
+def retract_witness_by_scan(cat, cls):
+    for f in cat.morphisms:
+        if f not in cls:
+            for g in sorted(cls.members):
+                if is_retract(cat, f, g):
+                    return (f, g)
+    return None
+
+
+def row_categories(cats, bench_lattices):
+    named = {**cats, **bench_lattices}
+    return [(name, cat) for base, cat in sorted(named.items())
+            for name, cat in ((base, cat), (f"{base}^op", opposite(cat)))]
+
+
+class TestRows:
+    """`rlp_class`, `llp_class` and `retract_closure_counterexample` read rows that
+    are decided once per category; each is checked against a scan that decides
+    every (g, f) afresh."""
+
+    def test_rlp_and_llp_against_oracles(self, cats, bench_lattices):
+        for name, cat in row_categories(cats, bench_lattices):
+            # g lifts against f in C exactly when f^op lifts against g^op in C^op
+            op = opposite(cat)
+            for cls in sample_classes(cat):
+                assert rlp_class(cat, cls).members == rlp_members_oracle(cat, cls.members), name
+                assert llp_class(cat, cls).members == rlp_members_oracle(op, cls.members), name
+                assert llp_class(cat, cls).members == {
+                    g for g in cat.morphisms
+                    if all(lifts_against(cat, g, f) for f in cls.members)}, name
+
+    def test_retract_witness_against_scan(self, cats, bench_lattices):
+        for name, cat in row_categories(cats, bench_lattices):
+            for cls in sample_classes(cat):
+                assert retract_closure_counterexample(cat, cls) == \
+                    retract_witness_by_scan(cat, cls), (name, cls.members)
+
+    @pytest.mark.parametrize("members, witness", [
+        # the first member f01_ and the first outside map f02_ are passed over
+        (["f01_", "f22_00", "f22_11"], ("f12_0", "f22_00")),
+        (["f01_", "f12_0", "id_2"], ("f12_1", "f12_0")),
+    ])
+    def test_least_witness_not_first_member(self, cats, members, witness):
+        # a retract in a poset is the map itself, so the witnesses live in finset2
+        cat = cats["finset2"]
+        cls = MorphismClass.of(cat, members)
+        assert retract_closure_counterexample(cat, cls) == witness
+        assert retract_witness_by_scan(cat, cls) == witness
 
 
 class TestFwc:
