@@ -9,17 +9,19 @@ package.
 
 Ids are opaque strings; all iteration is in sorted order, so every operation
 is deterministic.  Values are immutable after construction and every function
-is pure, so each fact derived from a category (its canonical key and hash,
-validation report, isomorphisms and iso classes, opposite, (co)limit
-hypotheses, every limit search, keyed by (shape, *args), every extension
-set, and the lifting and retract row of each morphism) is computed once and
-kept in that instance's memo.  Colimits are limits in the opposite, so they
-are kept in the opposite's memo.
+is pure, so each fact derived from a category is computed once and kept in
+that instance's memo: its canonical key and hash, validation report, isos and
+iso classes, opposite, (co)limit hypotheses, every limit search, keyed by
+(shape, *args), every extension set, the lifting and retract row of each
+morphism, the factorizations of each morphism, the cylinder and path
+candidates of each parallel pair, and where each naturality square is first
+decided.  Colimits are limits in the opposite, so they sit in its memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cache
 from itertools import combinations_with_replacement, product as iproduct
 
 RESERVED_ID_PREFIX = "id_"
@@ -360,17 +362,20 @@ def _universal_cone(cat: FinCat, shape: str, args: tuple, targets: tuple,
     """
     compose, hom = cat.compose, cat._hom.get
     f, g = equation or (None, None)
-    cones = {w: [c for c in iproduct(*[hom((w, t), ()) for t in targets])
-                 if f is None or compose[f, c[0]] == compose[g, c[-1]]]
-             for w in cat.objects}
+
+    @cache   # built on first use, so a rejected apex builds no later lists
+    def cones_from(w: str) -> list:
+        return [c for c in iproduct(*[hom((w, t), ()) for t in targets])
+                if f is None or compose[f, c[0]] == compose[g, c[-1]]]
+
     for apex in cat.objects:
-        for legs in cones[apex]:
+        for legs in cones_from(apex):
             mediators, total = {}, 0
             for w in cat.objects:
                 # legs . m is a cone for every m: w -> apex, so each cone from
                 # w has exactly one mediator iff there are as many maps as
                 # cones and their images are distinct.
-                n = len(cones[w])
+                n = len(cones_from(w))
                 ms = hom((w, apex), ())
                 if len(ms) != n:
                     break
@@ -433,8 +438,7 @@ def pushout(cat: FinCat, f: str, g: str) -> LimitResult:
 def _dualize(result: LimitResult, shape: str) -> LimitResult:
     # Morphism ids are shared with the opposite category, so certificates
     # transport verbatim.
-    return LimitResult(shape, result.args, result.found, result.apex, result.legs,
-                       result.mediators)
+    return replace(result, shape=shape)
 
 
 _SEARCHES = {
@@ -626,10 +630,10 @@ class NatTransData:
                 out.append(Violation("nat-component", (x, c)))
         if out:
             return out
+        comps, smor, tmor = self.components, self.source.mor_map, self.target.mor_map
         for f in cat.morphisms:
-            x, y = cat.src[f], cat.dst[f]
-            lhs = tgt.comp(self.components[y], self.source.mor_map[f])
-            rhs = tgt.comp(self.target.mor_map[f], self.components[x])
+            lhs = tgt.comp(comps[cat.dst[f]], smor[f])
+            rhs = tgt.comp(tmor[f], comps[cat.src[f]])
             if lhs != rhs:
                 out.append(Violation("naturality", (f,), f"{lhs} != {rhs}"))
         return out

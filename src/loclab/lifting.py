@@ -134,15 +134,15 @@ def _retract_row(cat: FinCat, g: str) -> frozenset:
 
 
 def retract_closure_counterexample(cat: FinCat, cls: MorphismClass) -> tuple[str, str] | None:
-    """Least (f, g) with g in the class, f a retract of g, f outside the class."""
+    """Least (f, g) with g in the class, f a retract of g, f outside the class:
+    the least f in the members' retract rows but not in the class, then the
+    first member whose row holds it."""
+    if cls.members.issuperset(cat.morphisms):
+        return None
     inside = cls.sorted_members()
-    for f in cat.morphisms:
-        if f in cls:
-            continue
-        for g in inside:
-            if f in _retract_row(cat, g):
-                return (f, g)
-    return None
+    outside = frozenset().union(*(_retract_row(cat, g) for g in inside)) - cls.members
+    f = min(outside, default=None)
+    return None if f is None else (f, next(g for g in inside if f in _retract_row(cat, g)))
 
 
 # -- finite well-completeness ------------------------------------------------------

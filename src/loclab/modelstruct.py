@@ -6,13 +6,17 @@ localization of it: cofibrations stay everything, weak equivalences become the
 maps inverted by the reflector, and fibrations are computed as the right
 lifting class of the weak equivalences.  `verify_model_axioms` checks all six
 closed-model axiom families by brute force, so every structure produced here
-is certified rather than assumed.
+is certified rather than assumed.  Each search that depends only on the
+category (retracts, factorizations, cylinders and paths) is a table kept in
+its memo, and a structure's certificate filters that table by its classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from collections import defaultdict
+from functools import cached_property, reduce
+from operator import and_
 
 from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
                      binary_coproduct, binary_product, identity_functor, opposite,
@@ -95,7 +99,9 @@ class AxiomReport:
 
 
 def verify_model_axioms(ms: ModelStructure) -> AxiomReport:
-    """Exhaustively check the six closed-model axiom families."""
+    """Exhaustively check the six closed-model axiom families.  Two-of-three
+    walks the sorted composition table; the factorization axioms read the
+    (m, e) pairs of each composite off the table inverted once per category."""
     cat = ms.base
     require_valid(cat)
     results: list[tuple[str, bool, tuple]] = []
@@ -105,42 +111,34 @@ def verify_model_axioms(ms: ModelStructure) -> AxiomReport:
         bad = retract_closure_counterexample(cat, cls)
         results.append((name, bad is None, bad or ()))
 
-    bad233: tuple = ()
-    for g in cat.morphisms:
-        for f in cat.morphisms:
-            if cat.src[g] != cat.dst[f]:
-                continue
-            h = cat.comp(g, f)
-            trio = (f in ms.we, g in ms.we, h in ms.we)
-            if sum(trio) == 2 and not all(trio):
-                bad233 = bad233 or (f, g, h)
+    we = ms.we.members   # the sorted table runs g-major, f-minor
+    bad233 = next(((f, g, h) for (g, f), h in cat.canonical()[3]
+                   if (f in we) + (g in we) + (h in we) == 2), ())
     results.append(("two-of-three", not bad233, bad233))
 
-    acyclic_fib = ms.acyclic_fibrations()
-    acyclic_cof = ms.acyclic_cofibrations()
+    acyclic_fib, acyclic_cof = ms.acyclic_fibrations(), ms.acyclic_cofibrations()
     for name, right, left in (("cof-equals-llp-acyclic-fib", acyclic_fib, ms.cof),
                               ("acyclic-cof-equals-llp-fib", ms.fib, acyclic_cof)):
         diff = sorted(llp_class(cat, right).members ^ left.members)
         results.append((name, not diff, tuple(diff[:1])))
 
-    def factorization_exists(f: str, first: MorphismClass, second: MorphismClass) -> bool:
-        x, y = cat.src[f], cat.dst[f]
-        for z in cat.objects:
-            for e in cat.hom(x, z):
-                if e not in first:
-                    continue
-                for m in cat.hom(z, y):
-                    if m in second and cat.comp(m, e) == f:
-                        return True
-        return False
-
+    table = cat._memoized("factorizations", _factorizations)
     for name, first, second in (("factor-acyclic-cof-then-fib", acyclic_cof, ms.fib),
                                 ("factor-cof-then-acyclic-fib", ms.cof, acyclic_fib)):
+        first, second = first.members, second.members
         bad_f = next(((f,) for f in cat.morphisms
-                      if not factorization_exists(f, first, second)), ())
+                      if not any(e in first and m in second for m, e in table[f])), ())
         results.append((name, not bad_f, bad_f))
 
     return AxiomReport(all(ok for _, ok, _ in results), tuple(results))
+
+
+def _factorizations(cat: FinCat) -> dict:
+    """For each morphism h, the pairs (m, e) with m . e == h, in table order."""
+    table: dict = {h: [] for h in cat.morphisms}
+    for (m, e), h in cat.canonical()[3]:
+        table[h].append((m, e))
+    return table
 
 
 # -- fibrant objects and replacement ---------------------------------------------------
@@ -240,53 +238,46 @@ class HomotopyReport:
 
 def homotopy_relations(ms: ModelStructure, f: str, g: str) -> HomotopyReport:
     """Decide left/right homotopy of a parallel pair by searching all cylinder
-    and path factorizations inside the category itself."""
+    and path factorizations inside the category itself; the candidates are
+    listed once per category and (f, g), and tested here for class membership."""
     cat = ms.base
     cat.require_morphism(f)
     cat.require_morphism(g)
     if not cat.parallel(f, g):
         raise CategoryError(f"{f!r} and {g!r} are not parallel")
     a, b = cat.src[f], cat.dst[f]
+    cylinders = cat._memoized(("cylinders", f, g), lambda c: _cylinders(c, f, g))
+    paths = cat._memoized(("paths", f, g), lambda c: _paths(c, f, g))
+    return HomotopyReport(
+        None if cylinders is None else any(i in ms.cof and j in ms.we for i, j in cylinders),
+        None if paths is None else any(w in ms.we and p in ms.fib for w, p in paths),
+        "" if cylinders is not None else f"binary coproduct of ({a}, {a}) does not exist",
+        "" if paths is not None else f"binary product of ({b}, {b}) does not exist")
 
-    left: bool | None = None
-    left_reason = ""
+
+def _cylinders(cat: FinCat, f: str, g: str) -> tuple | None:
+    """Each (i, j) with j . i the codiagonal a + a -> a and some h with
+    h . i == [f, g], for f, g: a -> b; None when a + a does not exist."""
+    a, b = cat.src[f], cat.dst[f]
     cop = binary_coproduct(cat, a, a)
     if not cop.found:
-        left_reason = f"binary coproduct of ({a}, {a}) does not exist"
-    else:
-        fold_codiag = cop.mediators[(a, cat.id_of(a), cat.id_of(a))]
-        fold_fg = cop.mediators[(b, f, g)]
-        left = False
-        for z in cat.objects:
-            for i in cat.hom(cop.apex, z):
-                if i not in ms.cof:
-                    continue
-                for j in cat.hom(z, a):
-                    if j not in ms.we or cat.comp(j, i) != fold_codiag:
-                        continue
-                    if any(cat.comp(h, i) == fold_fg for h in cat.hom(z, b)):
-                        left = True
+        return None
+    fold, fold_fg = cop.mediators[(a, cat.id_of(a), cat.id_of(a))], cop.mediators[(b, f, g)]
+    return tuple((i, j) for z in cat.objects for i in cat.hom(cop.apex, z)
+                 if cat.extensions(i, fold_fg) for j in cat.extensions(i, fold))
 
-    right: bool | None = None
-    right_reason = ""
+
+def _paths(cat: FinCat, f: str, g: str) -> tuple | None:
+    """Each (w, p) with p . w the diagonal b -> b x b and some k with
+    p . k == (f, g), for f, g: a -> b; None when b x b does not exist."""
+    a, b = cat.src[f], cat.dst[f]
     prod = binary_product(cat, b, b)
     if not prod.found:
-        right_reason = f"binary product of ({b}, {b}) does not exist"
-    else:
-        diag = prod.mediators[(b, cat.id_of(b), cat.id_of(b))]
-        pair_fg = prod.mediators[(a, f, g)]
-        right = False
-        for z in cat.objects:
-            for w in cat.hom(b, z):
-                if w not in ms.we:
-                    continue
-                for p in cat.hom(z, prod.apex):
-                    if p not in ms.fib or cat.comp(p, w) != diag:
-                        continue
-                    if any(cat.comp(p, k) == pair_fg for k in cat.hom(a, z)):
-                        right = True
-
-    return HomotopyReport(left, right, left_reason, right_reason)
+        return None
+    diag, pair_fg = prod.mediators[(b, cat.id_of(b), cat.id_of(b))], prod.mediators[(a, f, g)]
+    return tuple((w, p) for z in cat.objects for w in cat.hom(b, z)
+                 for p in cat.extensions(w, diag)
+                 if any(cat.comp(p, k) == pair_fg for k in cat.hom(a, z)))
 
 
 # -- homotopy category ---------------------------------------------------------------------
@@ -319,11 +310,8 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
     repl = fibrant_replacement_functor(ms)
     fibrants = fibrant_objects(ms)
 
-    we_inverted, we_witness = True, ()
-    for f in ms.we.sorted_members():
-        if not cat.is_iso(repl.functor.mor_map[f]):
-            we_inverted, we_witness = False, (f,)
-            break
+    we_witness = next(((f,) for f in ms.we.sorted_members()
+                       if not cat.is_iso(repl.functor.mor_map[f])), ())
 
     def rigid(f: str, g: str) -> bool:
         rep = homotopy_relations(ms, f, g)
@@ -332,7 +320,6 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
     rigidity_witness = next(((f, g) for a in cat.objects for b in sorted(fibrants)
                              for f in cat.hom(a, b) for g in cat.hom(a, b)
                              if not rigid(f, g)), ())
-    rigidity = not rigidity_witness
 
     acyclic_cof = ms.acyclic_cofibrations()
     ess_surj = all(repl.unit.components[x] in acyclic_cof for x in cat.objects)
@@ -342,9 +329,9 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
         objects=fibrants,
         subcat=FullSubcat(cat, frozenset(fibrants)),
         replacement=repl,
-        we_inverted=we_inverted,
+        we_inverted=not we_witness,
         we_inverted_witness=we_witness,
-        hom_rigidity=rigidity,
+        hom_rigidity=not rigidity_witness,
         hom_rigidity_witness=rigidity_witness,
         essentially_surjective=ess_surj,
     )
@@ -353,10 +340,9 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
 def maps_between_fibrants_are_fibrations(ms: ModelStructure) -> tuple[bool, tuple]:
     cat = ms.base
     fibrants = set(fibrant_objects(ms))
-    for f in cat.morphisms:
-        if cat.src[f] in fibrants and cat.dst[f] in fibrants and f not in ms.fib:
-            return False, (f,)
-    return True, ()
+    bad = next(((f,) for f in cat.morphisms if cat.src[f] in fibrants
+                and cat.dst[f] in fibrants and f not in ms.fib), ())
+    return not bad, bad
 
 
 # -- enumeration and posets ------------------------------------------------------------------
@@ -380,19 +366,24 @@ class StructureFamily:
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """The covering pairs (i, j) of the strict order, sorted.  up[i] is the
-        bitmask of the j strictly above i; the covers of i are the members of
-        up[i] that lie in no up[k] for k in up[i]."""
+        """The covering pairs (i, j) of the strict order, sorted.  holds[m] is
+        the bitmask of the j with m in we_j, so i <= j iff j is in holds[m] for
+        every m in we_i; up[i] drops the j with the same class.  The covers of i
+        are the members of up[i] that lie in no up[k] for k in up[i]."""
+        holds, same = defaultdict(int), defaultdict(int)
+        for j, st in enumerate(self.structures):
+            for m in st.we.members:
+                holds[m] |= 1 << j
+            same[st.we.members] |= 1 << j
         n = len(self.structures)
-        up = [sum(1 << j for j in range(n) if self.leq(i, j) and not self.leq(j, i))
-              for i in range(n)]
+        up = [reduce(and_, map(holds.get, st.we.members), (1 << n) - 1) & ~same[st.we.members]
+              for st in self.structures]
         edges = []
         for i in range(n):
             covers = up[i]
-            for k in range(n):
-                if up[i] >> k & 1:
-                    covers &= ~up[k]
-            edges.extend((i, j) for j in range(n) if covers >> j & 1)
+            for k in _bits(up[i]):
+                covers &= ~up[k]
+            edges.extend((i, j) for j in _bits(covers))
         return tuple(edges)
 
     def node_label(self, i: int) -> str:
@@ -407,6 +398,14 @@ class StructureFamily:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _bits(mask: int):
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -440,16 +439,14 @@ def colocalizations_via_op(cat: FinCat) -> ColocalizationFamily:
     are preserved; morphism ids are shared with the opposite)."""
     op = opposite(cat)
     op_family = enumerate_localizations(op)
-    structures = []
-    for st in op_family.structures:
-        structures.append(ModelStructure(
-            base=cat,
-            cof=MorphismClass(cat, st.fib.members),
-            we=MorphismClass(cat, st.we.members),
-            fib=MorphismClass(cat, st.cof.members),
-            provenance="colocalization",
-        ))
-    return ColocalizationFamily(cat, "colocalization", tuple(structures),
+    structures = tuple(ModelStructure(
+        base=cat,
+        cof=MorphismClass(cat, st.fib.members),
+        we=MorphismClass(cat, st.we.members),
+        fib=MorphismClass(cat, st.cof.members),
+        provenance="colocalization",
+    ) for st in op_family.structures)
+    return ColocalizationFamily(cat, "colocalization", structures,
                                 op_family.subcat_members, opposite_family=op_family)
 
 
@@ -486,9 +483,7 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
         label = "{" + ",".join(sorted(r.members)) + "}"
         axioms = verify_model_axioms(st)
         add(f"model-axioms {label}", axioms.ok, str(axioms.first_failure or ""))
-        acyclic_fib = st.acyclic_fibrations()
-        add(f"acyclic-fib-are-isos {label}",
-            acyclic_fib.members == cat.isos(), "")
+        add(f"acyclic-fib-are-isos {label}", st.acyclic_fibrations().members == cat.isos())
         ho = homotopy_category(st)
         fo, repl = ho.objects, ho.replacement
         add(f"fibrant-objects-match {label}", set(fo) == set(r.members), str(fo))
@@ -500,8 +495,7 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
         fib_ok, wit = maps_between_fibrants_are_fibrations(st)
         add(f"fibrant-maps-are-fibrations {label}", fib_ok, str(wit))
 
-    distinct = len({st.we.members for st in structures}) == n
-    add("distinct-structures", distinct, "")
+    add("distinct-structures", len({st.we.members for st in structures}) == n)
 
     # Loc -> Refl -> Loc reproduces the classes on the nose.
     round_ok, detail = True, ""

@@ -157,50 +157,49 @@ def is_monad_morphism(source: MonadData, target: MonadData, components: dict) ->
 
 def monad_morphism_exists(source: MonadData, target: MonadData,
                           isos_only: bool = False) -> NatTransData | None:
-    """Exhaustive search for a monad morphism; first witness in canonical order."""
+    """Exhaustive search for a monad morphism; first witness in canonical order.
+
+    The component at x ranges over the c with c . eta_x == eta'_x, in hom order.
+    Each naturality square is decided once per search path, when the later of
+    its endpoints is assigned; `is_monad_morphism` checks every leaf."""
     if source.cat != target.cat:
         raise CategoryError("monads live on different categories")
-    cat = source.cat
-    objects = list(cat.objects)
+    cat, smor, tmor = source.cat, source.functor.mor_map, target.functor.mor_map
+    objects, comp = cat.objects, cat.comp
     candidates = []
     for x in objects:
-        # The unit law fixes c . eta_x; filtering keeps the canonical order.
-        opts = [c for c in cat.hom(source.on_obj(x), target.on_obj(x))
-                if (not isos_only or cat.is_iso(c))
-                and cat.comp(c, source.unit.at(x)) == target.unit.at(x)]
+        opts = [c for c in cat.extensions(source.unit.components[x], target.unit.components[x])
+                if not isos_only or cat.is_iso(c)]
         if not opts:
             return None
         candidates.append(opts)
-
+    squares = cat._memoized("square-positions", _square_positions)
     assignment: dict = {}
-
-    def natural_so_far(x: str) -> bool:
-        for f in cat.morphisms:
-            a, b = cat.src[f], cat.dst[f]
-            if a in assignment and b in assignment:
-                lhs = cat.comp(assignment[b], source.on_mor(f))
-                rhs = cat.comp(target.on_mor(f), assignment[a])
-                if lhs != rhs:
-                    return False
-        return True
 
     def search(i: int) -> dict | None:
         if i == len(objects):
             return dict(assignment) if is_monad_morphism(source, target, assignment) else None
-        x = objects[i]
         for c in candidates[i]:
-            assignment[x] = c
-            if natural_so_far(x):
+            assignment[objects[i]] = c
+            if all(comp(assignment[b], smor[f]) == comp(tmor[f], assignment[a])
+                   for f, a, b in squares[i]):
                 hit = search(i + 1)
                 if hit is not None:
                     return hit
-            del assignment[x]
+        del assignment[objects[i]]
         return None
 
     hit = search(0)
-    if hit is None:
-        return None
-    return NatTransData(source.functor, target.functor, hit)
+    return None if hit is None else NatTransData(source.functor, target.functor, hit)
+
+
+def _square_positions(cat: FinCat) -> tuple:
+    """For each position in `cat.objects`, the (f, src f, dst f) whose later
+    endpoint sits there: the naturality squares a search can first decide."""
+    index = {x: i for i, x in enumerate(cat.objects)}
+    return tuple(tuple((f, cat.src[f], cat.dst[f]) for f in cat.morphisms
+                       if max(index[cat.src[f]], index[cat.dst[f]]) == i)
+                 for i in range(len(index)))
 
 
 def naturally_equivalent(first: MonadData, second: MonadData) -> bool:

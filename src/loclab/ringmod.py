@@ -235,6 +235,9 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             factors = [ring_from_spec(s, max_size) for s in spec["factors"]]
             capped(prod(r.order for r in factors))
             ring = ring_product(factors, spec.get("name"))
+            # Both tables are built componentwise, so each law holds in the
+            # product iff it holds in every factor, and each factor passed.
+            ring._memo["valid"] = RingReport(True)
         elif kind == "polyquo":
             base = spec["base"]
             if not isinstance(base, dict) or base.get("kind") != "zn":

@@ -53,3 +53,12 @@ def bench_lattices():
     return {"chain8": poset_category("chain8", chain, lambda a, b: int(a) <= int(b)),
             "B3": poset_category("B3", cube, below),
             "grid2x4": poset_category("grid2x4", grid, below)}
+
+
+@pytest.fixture(scope="session")
+def certified_families(lattices, bench_lattices):
+    """(localizations, colocalizations) of every bundled lattice and bench lattice."""
+    from loclab.modelstruct import colocalizations_via_op, enumerate_localizations
+
+    return {name: (enumerate_localizations(cat), colocalizations_via_op(cat))
+            for name, cat in sorted({**lattices, **bench_lattices}.items())}

@@ -5,7 +5,9 @@ Each function here recomputes a result by a different route than the library
 scans instead of the lifting helpers, a mediator count per competing cone
 instead of one pass over the maps into the apex, minor gcds instead of the
 diagonal form, every hom matrix of a truncated abelian p-group category instead
-of Littlewood-Richardson support), so agreement is meaningful.
+of Littlewood-Richardson support, hom-set searches and full naturality scans
+instead of the per-category tables the model and monad certificates filter),
+so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -143,6 +145,147 @@ def rlp_members_oracle(cat: FinCat, left_members) -> frozenset:
         if ok:
             out.add(f)
     return frozenset(out)
+
+
+# -- model-structure certificates by hom-set search ---------------------------------
+
+
+def retract_witness_by_scan(cat: FinCat, cls) -> tuple | None:
+    """Least (f, g), f-major over the morphisms and then over the sorted
+    members, with f outside the class a retract of g inside it."""
+    from loclab.lifting import is_retract
+
+    for f in cat.morphisms:
+        if f not in cls:
+            for g in sorted(cls.members):
+                if is_retract(cat, f, g):
+                    return (f, g)
+    return None
+
+
+def factorization_exists_by_search(cat: FinCat, f: str, first, second) -> bool:
+    """Some z, e: src(f) -> z in `first` and m: z -> dst(f) in `second` with
+    m . e == f."""
+    x, y = cat.src[f], cat.dst[f]
+    for z in cat.objects:
+        for e in cat.hom(x, z):
+            if e not in first:
+                continue
+            for m in cat.hom(z, y):
+                if m in second and cat.comp(m, e) == f:
+                    return True
+    return False
+
+
+def axiom_witnesses_by_search(ms) -> dict:
+    """The witnesses of the retract, two-of-three and factorization axioms, as
+    `verify_model_axioms` reports them, from scans over morphism pairs and
+    hom-sets."""
+    cat = ms.base
+    out = {name: retract_witness_by_scan(cat, cls) or ()
+           for name, cls in (("retracts-cof", ms.cof), ("retracts-we", ms.we),
+                             ("retracts-fib", ms.fib))}
+    bad233: tuple = ()
+    for g in cat.morphisms:
+        for f in cat.morphisms:
+            if cat.src[g] != cat.dst[f]:
+                continue
+            h = cat.comp(g, f)
+            trio = (f in ms.we, g in ms.we, h in ms.we)
+            if sum(trio) == 2 and not all(trio):
+                bad233 = bad233 or (f, g, h)
+    out["two-of-three"] = bad233
+    acyclic_cof, acyclic_fib = ms.acyclic_cofibrations(), ms.acyclic_fibrations()
+    for name, first, second in (("factor-acyclic-cof-then-fib", acyclic_cof, ms.fib),
+                                ("factor-cof-then-acyclic-fib", ms.cof, acyclic_fib)):
+        out[name] = next(((f,) for f in cat.morphisms
+                          if not factorization_exists_by_search(cat, f, first, second)), ())
+    return out
+
+
+def homotopy_by_search(ms, f: str, g: str) -> tuple:
+    """(left, right) for a parallel pair, by searching every cylinder
+    a + a -> z -> a and every path object b -> z -> b x b; None on a side
+    whose (co)product does not exist."""
+    from loclab.fincat import binary_coproduct, binary_product
+
+    cat = ms.base
+    a, b = cat.src[f], cat.dst[f]
+    left = right = None
+    cop = binary_coproduct(cat, a, a)
+    if cop.found:
+        fold_codiag = cop.mediators[(a, cat.id_of(a), cat.id_of(a))]
+        fold_fg = cop.mediators[(b, f, g)]
+        left = False
+        for z in cat.objects:
+            for i in cat.hom(cop.apex, z):
+                if i not in ms.cof:
+                    continue
+                for j in cat.hom(z, a):
+                    if j not in ms.we or cat.comp(j, i) != fold_codiag:
+                        continue
+                    if any(cat.comp(h, i) == fold_fg for h in cat.hom(z, b)):
+                        left = True
+    prod = binary_product(cat, b, b)
+    if prod.found:
+        diag = prod.mediators[(b, cat.id_of(b), cat.id_of(b))]
+        pair_fg = prod.mediators[(a, f, g)]
+        right = False
+        for z in cat.objects:
+            for w in cat.hom(b, z):
+                if w not in ms.we:
+                    continue
+                for p in cat.hom(z, prod.apex):
+                    if p not in ms.fib or cat.comp(p, w) != diag:
+                        continue
+                    if any(cat.comp(p, k) == pair_fg for k in cat.hom(a, z)):
+                        right = True
+    return left, right
+
+
+# -- monad morphisms by backtracking with full naturality scans ----------------------
+
+
+def monad_morphism_by_full_scan(source, target, isos_only: bool = False) -> dict | None:
+    """Components of the first monad morphism in canonical order: each
+    component ranges over hom(Tx, T'x), and every step rescans all naturality
+    squares whose endpoints are both assigned."""
+    from loclab.monadkit import is_monad_morphism
+
+    cat = source.cat
+    objects = list(cat.objects)
+    candidates = []
+    for x in objects:
+        opts = [c for c in cat.hom(source.on_obj(x), target.on_obj(x))
+                if (not isos_only or cat.is_iso(c))
+                and cat.comp(c, source.unit.at(x)) == target.unit.at(x)]
+        if not opts:
+            return None
+        candidates.append(opts)
+    assignment: dict = {}
+
+    def natural_so_far() -> bool:
+        for f in cat.morphisms:
+            a, b = cat.src[f], cat.dst[f]
+            if a in assignment and b in assignment:
+                if cat.comp(assignment[b], source.on_mor(f)) != \
+                   cat.comp(target.on_mor(f), assignment[a]):
+                    return False
+        return True
+
+    def search(i: int) -> dict | None:
+        if i == len(objects):
+            return dict(assignment) if is_monad_morphism(source, target, assignment) else None
+        for c in candidates[i]:
+            assignment[objects[i]] = c
+            if natural_so_far():
+                hit = search(i + 1)
+                if hit is not None:
+                    return hit
+            del assignment[objects[i]]
+        return None
+
+    return search(0)
 
 
 # -- posets of structures ----------------------------------------------------------------

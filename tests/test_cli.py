@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from loclab import corpus, fincat, lifting, ringmod
+from loclab import corpus, fincat, lifting, modelstruct, monadkit, ringmod
 from loclab.cli import main
 
 
@@ -349,6 +349,12 @@ class TestComputedOnce:
                          "--map", "hom_z4_to_z2")
         assert code == 0
         assert sorted(ring.name for ring in seen) == ["Z/2", "Z/4"]
+        # a product's laws follow from its factors', so only the factors are validated
+        seen.clear()
+        code, _, _ = run(capsys, "ring-check", "--ring", "ring_z2", "--algebra", "ring_z2xz2",
+                         "--map", "hom_z2_diag_z2xz2")
+        assert code == 1   # the diagonal is no localization
+        assert sorted(ring.name for ring in seen) == ["Z/2", "Z/2", "Z/2"]
 
     @pytest.mark.parametrize("command, names", [
         ("bijections", {"diamond"}),
@@ -408,3 +414,21 @@ class TestComputedOnce:
             decided = [(id(cat), x, y) for cat, x, y in calls]
             assert len(set(decided)) == len(decided), fn
         assert (len(seen["lifts_against"]), len(seen["is_retract"])) == (lifts, retracts)
+
+    # Each table a certificate filters is built once per category instance.
+    def test_each_certificate_table_built_once_per_category(self, capsys, monkeypatch):
+        seen = []
+        for module, fn in ((modelstruct, "_factorizations"), (modelstruct, "_cylinders"),
+                           (modelstruct, "_paths"), (monadkit, "_square_positions")):
+            def counted(cat, *args, original=getattr(module, fn), fn=fn):
+                seen.append((fn, cat, args))
+                return original(cat, *args)
+
+            monkeypatch.setattr(module, fn, counted)
+        code, _, _ = run(capsys, "bijections", "pentagon")
+        assert code == 0
+        # `seen` keeps every category alive, so no two of them share an id.
+        built = [(fn, id(cat), args) for fn, cat, args in seen]
+        assert len(set(built)) == len(built)
+        assert {fn for fn, _, _ in built} == {"_factorizations", "_cylinders", "_paths",
+                                              "_square_positions"}

@@ -8,7 +8,7 @@ from loclab.lifting import (MorphismClass, commuting_squares, epimorphisms,
                             is_finitely_well_complete, is_retract, isomorphisms,
                             lifts_against, llp_class, monomorphisms,
                             retract_closure_counterexample, rlp_class)
-from oracles import rlp_members_oracle
+from oracles import retract_witness_by_scan, rlp_members_oracle
 
 
 def fillers(cat, g, f, top, bottom):
@@ -158,15 +158,6 @@ def sample_classes(cat):
     classes += [[m for m in mors if rng.random() < density]
                 for density in (0.2, 0.4, 0.6, 0.8) for _ in range(2)]
     return [MorphismClass.of(cat, members) for members in classes]
-
-
-def retract_witness_by_scan(cat, cls):
-    for f in cat.morphisms:
-        if f not in cls:
-            for g in sorted(cls.members):
-                if is_retract(cat, f, g):
-                    return (f, g)
-    return None
 
 
 def row_categories(cats, bench_lattices):

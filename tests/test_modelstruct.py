@@ -12,7 +12,8 @@ from loclab.modelstruct import (ModelStructure, bijection_suite,
                                 maps_between_fibrants_are_fibrations,
                                 verify_model_axioms)
 from loclab.reflect import find_reflector
-from oracles import coreflective_members_direct, hasse_edges_by_triples
+from oracles import (axiom_witnesses_by_search, coreflective_members_direct,
+                     hasse_edges_by_triples, homotopy_by_search)
 
 
 def model_from_fixture(name):
@@ -83,6 +84,64 @@ class TestAxiomVerifier:
         everything = MorphismClass.all_morphisms(fs)
         ms = ModelStructure(fs, everything, MorphismClass(fs, fs.isos()), everything, "file")
         assert verify_model_axioms(ms).ok
+
+
+def finset2_structures(cats):
+    """Two non-thin structures with cof = fib = all maps on FinSet<=2: we = isos,
+    and a we class that holds f22_00 but not its retract f12_0."""
+    fs = cats["finset2"]
+    everything = MorphismClass.all_morphisms(fs)
+    return [ModelStructure(fs, everything, MorphismClass(fs, we), everything, "file")
+            for we in (fs.isos(), frozenset({"f01_", "f22_00", "f22_11"}))]
+
+
+class TestCertificatesAgainstSearch:
+    """The certificates that filter per-category tables agree, verdict and
+    witness, with the hom-set searches they replaced."""
+
+    def test_axiom_witnesses(self, certified_families, cats):
+        failing = [model_from_fixture("fixtures/bad/model_dropped_fib"),
+                   finset2_structures(cats)[1]]
+        structures = [st for families in certified_families.values()
+                      for family in families for st in family.structures] + failing
+        for ms in structures:
+            expected = axiom_witnesses_by_search(ms)
+            got = {name: witness for name, _, witness in verify_model_axioms(ms).results
+                   if name in expected}
+            assert got == expected, (ms.base.name, ms.we.sorted_members())
+        assert axiom_witnesses_by_search(failing[1])["retracts-we"] == ("f12_0", "f22_00")
+
+    def test_homotopy_on_pairs_into_fibrants(self, certified_families):
+        for families in certified_families.values():
+            for ms in (st for family in families for st in family.structures):
+                cat = ms.base
+                for a in cat.objects:
+                    for b in fibrant_objects(ms):
+                        for f in cat.hom(a, b):
+                            for g in cat.hom(a, b):
+                                rep = homotopy_relations(ms, f, g)
+                                assert (rep.left, rep.right) == homotopy_by_search(ms, f, g)
+
+    def test_homotopy_on_every_parallel_pair_of_finset2(self, cats):
+        from loclab.fincat import opposite
+
+        structures = finset2_structures(cats)
+        op = opposite(cats["finset2"])
+        structures += [ModelStructure(op, MorphismClass(op, st.fib.members),
+                                      MorphismClass(op, st.we.members),
+                                      MorphismClass(op, st.cof.members), "file")
+                       for st in structures]
+        seen = set()
+        for ms in structures:
+            cat = ms.base
+            for f in cat.morphisms:
+                for g in cat.morphisms:
+                    if cat.parallel(f, g):
+                        rep = homotopy_relations(ms, f, g)
+                        assert (rep.left, rep.right) == homotopy_by_search(ms, f, g)
+                        seen.add((f == g, rep.left, rep.right))
+        # distinct pairs, both verdicts, and a side with no (co)product are all met
+        assert {(False, False, None), (True, True, None), (False, None, False)} <= seen
 
 
 class TestFibrantReplacement:

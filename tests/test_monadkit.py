@@ -7,6 +7,7 @@ from loclab.monadkit import (MonadData, is_idempotent, is_monad_morphism,
                              monad_from_reflector, monad_morphism_exists,
                              naturally_equivalent, reflector_from_monad, verify_monad)
 from loclab.reflect import enumerate_replete_reflective, find_reflector
+from oracles import monad_morphism_by_full_scan
 
 
 def identity_monad(cat):
@@ -169,3 +170,45 @@ class TestMonadMorphisms:
     def test_different_bases_rejected(self, chain2, chain3):
         with pytest.raises(CategoryError):
             monad_morphism_exists(identity_monad(chain2), identity_monad(chain3))
+
+
+def components(sigma):
+    return None if sigma is None else sigma.components
+
+
+class TestMonadSearchAgainstFullScan:
+    """The search that decides each naturality square once per path finds the
+    same first witness as a search that rescans every square at every step."""
+
+    def test_every_ordered_pair_of_reflector_monads(self, certified_families):
+        for name, (loc, coloc) in certified_families.items():
+            for family in (loc, coloc.opposite_family):
+                monads = [monad_from_reflector(r) for r in family.reflectors]
+                for s in monads:
+                    for t in monads:
+                        assert components(monad_morphism_exists(s, t)) == \
+                            monad_morphism_by_full_scan(s, t), name
+
+    def test_backtracking_on_pointed2(self, cats):
+        # The identity functor on pointed2 with unit and multiplication at w
+        # either id_w or the zero map wzw: not all are monads, but the search
+        # only reads the data.  wzw . wzw == wzw . id_w, so a zero unit on both
+        # sides leaves two unit-law candidates at w.
+        cat = cats["pointed2"]
+        ident = identity_functor(cat)
+
+        def data(eta_w, mu_w):
+            return MonadData(ident, NatTransData(ident, ident, {"w": eta_w, "z": "id_z"}),
+                             NatTransData(compose_functors(ident, ident), ident,
+                                          {"w": mu_w, "z": "id_z"}))
+
+        monads = [data(eta, mu) for eta in ("id_w", "wzw") for mu in ("id_w", "wzw")]
+        for s in monads:
+            for t in monads:
+                for isos_only in (False, True):
+                    assert components(monad_morphism_exists(s, t, isos_only)) == \
+                        monad_morphism_by_full_scan(s, t, isos_only)
+        assert cat.extensions("wzw", "wzw") == ("id_w", "wzw")
+        # id_w fails the multiplication law at the leaf, so the search backtracks
+        sigma = monad_morphism_exists(data("wzw", "id_w"), data("wzw", "wzw"))
+        assert components(sigma) == {"w": "wzw", "z": "id_z"}

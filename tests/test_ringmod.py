@@ -38,6 +38,20 @@ class TestConstructors:
         assert r.order == 4 and validate_ring(r).ok
         assert r.zero == "(0,0)" and r.one == "(1,1)"
 
+    @pytest.mark.parametrize("spec", [
+        *(corpus.load_json(name) for name in corpus.RINGS
+          if corpus.load_json(name)["kind"] == "product"),
+        *({"kind": "product", "factors": [{"kind": "zn", "n": n} for n in factors]}
+          for factors in ((2, 2), (2, 3), (2, 4), (2, 2, 2), (3, 5), (1, 4))),
+        {"kind": "product", "factors": [
+            {"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": [0, 0, 1]},
+            {"kind": "product", "factors": [{"kind": "zn", "n": 2}]}]},
+    ])
+    def test_product_spec_is_valid_without_its_own_pass(self, spec):
+        ring = ring_from_spec(spec)
+        assert ring._memo["valid"].ok   # recorded from the factors
+        assert validate_ring(ring).ok
+
     def test_polyquo_dual_numbers(self):
         r = ring_polyquo(2, [0, 0, 1])
         assert r.order == 4 and validate_ring(r).ok
