@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import corpus
 from .fincat import (CategoryError, FinCat, FunctorData, NatTransData,
@@ -419,6 +420,7 @@ def cmd_corpus(args) -> Outcome:
 # -- driver ---------------------------------------------------------------------------
 
 
+@cache   # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps subparser defaults from clobbering globals given before
     # the subcommand; main() fills in COMMON_DEFAULTS afterwards.
@@ -497,8 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     for key, value in COMMON_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
@@ -511,8 +512,12 @@ def main(argv=None) -> int:
         return INPUT_ERROR
 
     if args.emit_dot and outcome.dot:
-        with open(args.emit_dot, "w", encoding="utf-8") as fh:
-            fh.write(outcome.dot)
+        try:
+            with open(args.emit_dot, "w", encoding="utf-8") as fh:
+                fh.write(outcome.dot)
+        except OSError as exc:
+            print(f"error: cannot write DOT file {args.emit_dot}: {exc.strerror}", file=sys.stderr)
+            return INPUT_ERROR
     if args.format == "json":
         print(json.dumps(outcome.payload, indent=2, sort_keys=True))
     elif args.format == "dot":

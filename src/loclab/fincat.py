@@ -13,7 +13,8 @@ is pure, so each fact derived from a category is computed once and kept in
 that instance's memo: its canonical key and hash, validation report, isos and
 iso classes, opposite, (co)limit hypotheses, every limit search, keyed by
 (shape, *args), every extension set, the lifting and retract row of each
-morphism, the factorizations of each morphism, the cylinder and path
+morphism, the universal row of each morphism (and each object's maps out with
+their rows), the factorizations of each morphism, the cylinder and path
 candidates of each parallel pair, and where each naturality square is first
 decided.  Colimits are limits in the opposite, so they sit in its memo.
 """
@@ -21,7 +22,7 @@ decided.  Colimits are limits in the opposite, so they sit in its memo.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations_with_replacement, product as iproduct
 
 RESERVED_ID_PREFIX = "id_"
@@ -557,6 +558,10 @@ class FunctorData:
 
     def check(self) -> list[Violation]:
         """Exhaustively verify totality, endpoints, identities, composition."""
+        return list(self.violations)
+
+    @cached_property   # the maps are never mutated, so the verdict is decided once
+    def violations(self) -> tuple[Violation, ...]:
         out = []
         targets = set(self.target.objects)
         for x in self.source.objects:
@@ -576,7 +581,7 @@ class FunctorData:
                self.target.dst[ff] != self.obj_map.get(self.source.dst[f]):
                 out.append(Violation("functor-endpoints", (f, ff)))
         if out:
-            return out
+            return tuple(out)
         for x in self.source.objects:
             if self.mor_map[self.source.id_of(x)] != self.target.id_of(self.obj_map[x]):
                 out.append(Violation("functor-identity", (x,)))
@@ -584,10 +589,10 @@ class FunctorData:
             got = self.target.comp(self.mor_map[g], self.mor_map[f])
             if got != self.mor_map[h]:
                 out.append(Violation("functor-composition", (g, f), f"F(g.f) != F(g).F(f) ({got})"))
-        return out
+        return tuple(out)
 
     def is_valid(self) -> bool:
-        return not self.check()
+        return not self.violations
 
 
 def identity_functor(cat: FinCat) -> FunctorData:
@@ -616,9 +621,13 @@ class NatTransData:
         return self.components[x]
 
     def check(self) -> list[Violation]:
+        return list(self.violations)
+
+    @cached_property   # the components are never mutated, so the verdict is decided once
+    def violations(self) -> tuple[Violation, ...]:
         out = []
         if self.source.source != self.target.source or self.source.target != self.target.target:
-            return [Violation("nat-shape", (), "source/target functors not parallel")]
+            return (Violation("nat-shape", (), "source/target functors not parallel"),)
         cat, tgt = self.source.source, self.source.target
         for x in cat.objects:
             c = self.components.get(x)
@@ -629,17 +638,17 @@ class NatTransData:
                or tgt.dst[c] != self.target.obj_map[x]:
                 out.append(Violation("nat-component", (x, c)))
         if out:
-            return out
+            return tuple(out)
         comps, smor, tmor = self.components, self.source.mor_map, self.target.mor_map
         for f in cat.morphisms:
             lhs = tgt.comp(comps[cat.dst[f]], smor[f])
             rhs = tgt.comp(tmor[f], comps[cat.src[f]])
             if lhs != rhs:
                 out.append(Violation("naturality", (f,), f"{lhs} != {rhs}"))
-        return out
+        return tuple(out)
 
     def is_valid(self) -> bool:
-        return not self.check()
+        return not self.violations
 
 
 @dataclass(frozen=True)

@@ -528,11 +528,28 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
             "")
         monads.append(m)
 
-    detail = _order_mismatch(
-        refls, lambda i, j: monad_morphism_exists(monads[j], monads[i]) is not None)
+    sources = unit_extension_masks(cat, monads)
+    detail = _order_mismatch(refls, lambda i, j: sources[i] >> j & 1 == 1
+                             and monad_morphism_exists(monads[j], monads[i]) is not None)
     add("monad-order-isomorphism", not detail, detail)
 
     return SuiteReport(cat, tuple(checks))
+
+
+def unit_extension_masks(cat: FinCat, monads) -> list[int]:
+    """Bit j of masks[i] is set when each unit component of monads[j] extends to
+    that of monads[i]: when `monad_morphism_exists(monads[j], monads[i])` has a
+    unit-law candidate at every object, which it needs to find a morphism."""
+    masks = [(1 << len(monads)) - 1] * len(monads)
+    for x in cat.objects:
+        by_unit = defaultdict(int)   # a unit component at x -> the monads with it
+        for j, m in enumerate(monads):
+            by_unit[m.unit.components[x]] |= 1 << j
+        reach = {d: sum(mask for c, mask in by_unit.items() if cat.extensions(c, d))
+                 for d in by_unit}
+        for i, m in enumerate(monads):
+            masks[i] &= reach[m.unit.components[x]]
+    return masks
 
 
 def _order_mismatch(refls, related) -> str:

@@ -32,14 +32,6 @@ class MonadData:
     def on_mor(self, f: str) -> str:
         return self.functor.mor_map[f]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "T_obj": dict(sorted(self.functor.obj_map.items())),
-            "T_mor": dict(sorted(self.functor.mor_map.items())),
-            "unit": dict(sorted(self.unit.components.items())),
-            "mult": dict(sorted(self.mult.components.items())),
-        }
-
 
 @dataclass(frozen=True)
 class MonadReport:

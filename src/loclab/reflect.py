@@ -70,15 +70,17 @@ def is_replete(cat: FinCat, members) -> bool:
     return True
 
 
+def universal_row(cat: FinCat, u: str) -> frozenset:
+    """The objects b such that every v: src(u) -> b factors through u exactly
+    once, decided once per category and u."""
+    return cat._memoized(("universal", u), lambda c: frozenset(
+        b for b in c.objects if all(len(c.extensions(u, v)) == 1 for v in c.hom(c.src[u], b))))
+
+
 def non_universal_target(cat: FinCat, targets, u: str) -> str | None:
-    """The first b in `targets` with some v: src(u) -> b that does not factor
-    through u exactly once; None when u is universal for every target."""
-    x = cat.src[u]
-    for b in targets:
-        for v in cat.hom(x, b):
-            if len(cat.extensions(u, v)) != 1:
-                return b
-    return None
+    """The first b in `targets` outside the universal row of u, or None."""
+    row = universal_row(cat, u)
+    return next((b for b in targets if b not in row), None)
 
 
 def find_reflector(cat: FinCat, members) -> ReflectorSearch:
@@ -91,12 +93,13 @@ def find_reflector(cat: FinCat, members) -> ReflectorSearch:
     require_valid(cat)
     members = frozenset(str(m) for m in members)
     subcat = FullSubcat(cat, members)
-    targets = sorted(members)
+    # For each object x, every u: x -> a with a and the universal row of u, in (a, u) order.
+    arrows = cat._memoized("arrows-out", lambda c: {x: tuple(
+        (u, a, universal_row(c, u)) for a in c.objects for u in c.hom(x, a)) for x in c.objects})
     obj_map: dict = {}
     unit: dict = {}
     for x in cat.objects:
-        chosen = next((u for a in targets for u in cat.hom(x, a)
-                       if non_universal_target(cat, targets, u) is None), None)
+        chosen = next((u for u, a, row in arrows[x] if a in members and members <= row), None)
         if chosen is None:
             return ReflectorSearch(None, x)
         obj_map[x], unit[x] = cat.dst[chosen], chosen
@@ -127,11 +130,10 @@ def certify_reflector(refl: Reflector) -> list[Violation]:
     for x in cat.objects:
         if refl.on_obj(x) not in members:
             out.append(Violation("image-in-subcategory", (x, refl.on_obj(x))))
-    targets = sorted(members)
     for x in cat.objects:
-        if non_universal_target(cat, targets, refl.unit_at(x)) is not None:
+        if not members <= universal_row(cat, refl.unit_at(x)):
             out.append(Violation("universal-arrow", (x,)))
-    for a in targets:
+    for a in sorted(members):
         if not cat.is_iso(refl.unit_at(a)):
             out.append(Violation("unit-iso-on-members", (a,)))
     return out

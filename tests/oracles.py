@@ -6,8 +6,9 @@ scans instead of the lifting helpers, a mediator count per competing cone
 instead of one pass over the maps into the apex, minor gcds instead of the
 diagonal form, every hom matrix of a truncated abelian p-group category instead
 of Littlewood-Richardson support, hom-set searches and full naturality scans
-instead of the per-category tables the model and monad certificates filter),
-so agreement is meaningful.
+instead of the per-category tables the model and monad certificates filter,
+per-target factorization counts instead of memoized universal rows), so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -124,6 +125,35 @@ def _is_coreflective(cat: FinCat, members: frozenset) -> bool:
         if not found:
             return False
     return True
+
+
+# -- universal arrows by per-target scans -------------------------------------------
+
+
+def non_universal_target_by_scan(cat: FinCat, targets, u: str) -> str | None:
+    """The first b in `targets` with some v: src(u) -> b that does not factor
+    through u exactly once, counting the factorizations over hom(dst u, b);
+    None when u is universal for every target."""
+    x, a = cat.src[u], cat.dst[u]
+    for b in targets:
+        for v in cat.hom(x, b):
+            if sum(cat.comp(w, u) == v for w in cat.hom(a, b)) != 1:
+                return b
+    return None
+
+
+def universal_arrows_by_scan(cat: FinCat, members) -> dict | str:
+    """The least (a, u) with u: x -> a universal into `members`, for each object
+    x, as {x: u}; or the first object with no universal arrow."""
+    targets = sorted(members)
+    unit = {}
+    for x in cat.objects:
+        chosen = next((u for a in targets for u in cat.hom(x, a)
+                       if non_universal_target_by_scan(cat, targets, u) is None), None)
+        if chosen is None:
+            return x
+        unit[x] = chosen
+    return unit
 
 
 # -- lifting re-enumeration ----------------------------------------------------------

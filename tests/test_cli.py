@@ -1,9 +1,15 @@
 import json
+from functools import cached_property
+from pathlib import Path
 
 import pytest
 
 from loclab import corpus, fincat, lifting, modelstruct, monadkit, ringmod
-from loclab.cli import main
+from loclab.cli import build_parser, main
+from loclab.fincat import FinCat, NatTransData, identity_functor
+from loclab.reflect import enumerate_replete_reflective
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -60,6 +66,14 @@ class TestCommands:
                          "--emit-dot", str(target))
         assert code == 0
         assert target.read_text().startswith("digraph")
+
+    @pytest.mark.parametrize("where", ["missing/poset.dot", "."], ids=["no-dir", "a-dir"])
+    def test_emit_dot_unwritable_is_input_error(self, capsys, tmp_path, where):
+        target = tmp_path / where
+        code, out, err = run(capsys, "enumerate-localizations", "chain3",
+                             "--emit-dot", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write DOT file {target}: ")
 
     def test_verify_model_fixture_fails_with_witness(self, capsys):
         code, out, _ = run(capsys, "verify-model", "fixtures/bad/model_dropped_fib")
@@ -138,6 +152,41 @@ class TestCommands:
         assert code == 0
         assert (tmp_path / "c" / "chain3.json").exists()
         assert (tmp_path / "c" / "fixtures" / "bad" / "model_dropped_fib.json").exists()
+
+
+class TestOneParser:
+    """One parser, built on first use, serves every call in the process."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_sequence_parses_as_fresh_parsers_do(self, capsys):
+        argvs = [["--format", "json", "validate", "chain3"], ["validate", "chain3"],
+                 ["k0", "--truncated-abelian", "p=2,bound=2", "--we", "all"],
+                 ["--max-objects", "2", "limits", "diamond"], ["k0", "--category", "chain2"],
+                 ["monads", "--monad-file", "fixtures/bad/monad_mutated_mult"], ["monads"]]
+        for argv in argvs + argvs[::-1]:
+            assert vars(build_parser().parse_args(argv)) == \
+                vars(build_parser.__wrapped__().parse_args(argv)), argv
+
+    def test_format_json_then_plain(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "validate", "chain3")
+        assert code == 0 and json.loads(out)["verdict"] == "pass"
+        code, out, _ = run(capsys, "validate", "chain3")
+        assert code == 0 and out.startswith("PASS chain3: valid category")
+
+    def test_cap_violation_then_default_caps(self, capsys):
+        code, out, err = run(capsys, "validate", "chain3", "--max-objects", "2")
+        assert code == 2 and out == "" and "--max-objects 2" in err
+        code, out, _ = run(capsys, "validate", "chain3")
+        assert code == 0 and out.startswith("PASS")
+
+    def test_argparse_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["validate"])
+        assert stop.value.code == 2 and "usage:" in capsys.readouterr().err
+        code, out, _ = run(capsys, "validate", "chain3")
+        assert f"exit {code}\n{out}" == (GOLDEN / "validate__chain3.text").read_text("utf-8")
 
 
 class TestDeterminism:
@@ -432,3 +481,61 @@ class TestComputedOnce:
         assert len(set(built)) == len(built)
         assert {fn for fn, _, _ in built} == {"_factorizations", "_cylinders", "_paths",
                                               "_square_positions"}
+
+    # pentagon has 13 replete reflective subcategories, hence 169 ordered pairs
+    # of reflector monads; the search runs only on the pairs whose unit
+    # components all extend, and once more per natural-equivalence check.
+    def test_monad_order_searches_only_unit_compatible_pairs(self, capsys, monkeypatch,
+                                                              cats):
+        searched, equivalences = [], []
+
+        def counted(source, target, isos_only=False, original=monadkit.monad_morphism_exists):
+            searched.append((units(source), units(target), isos_only))
+            return original(source, target, isos_only)
+
+        def equivalence(first, second, original=monadkit.naturally_equivalent):
+            equivalences.append((first, second))
+            return original(first, second)
+
+        monkeypatch.setattr(monadkit, "monad_morphism_exists", counted)
+        monkeypatch.setattr(modelstruct, "monad_morphism_exists", counted)
+        monkeypatch.setattr(modelstruct, "naturally_equivalent", equivalence)
+        code, _, _ = run(capsys, "bijections", "pentagon")
+        assert code == 0
+        cat = cats["pentagon"]
+        reflector_units = [units(r) for r in enumerate_replete_reflective(cat)]
+        compatible = [(s, t, False) for t in reflector_units for s in reflector_units
+                      if all(cat.extensions(dict(s)[x], dict(t)[x]) for x in cat.objects)]
+        assert len(reflector_units) == len(equivalences) == 13 and len(compatible) == 60
+        assert sorted(searched) == sorted(compatible + [
+            (u, u, True) for u in reflector_units])
+
+    def test_each_functor_and_transformation_checked_once(self, capsys, monkeypatch):
+        seen = []
+        for cls in (fincat.FunctorData, fincat.NatTransData):
+            def counted(value, original=cls.violations.func):
+                seen.append(value)
+                return original(value)
+
+            prop = cached_property(counted)
+            prop.__set_name__(cls, "violations")
+            monkeypatch.setattr(cls, "violations", prop)
+        code, _, _ = run(capsys, "bijections", "pentagon")
+        assert code == 0 and seen
+        # `seen` keeps every instance alive, so no two of them share an id.
+        assert len({id(value) for value in seen}) == len(seen)
+
+    def test_check_returns_a_fresh_list(self, chain2):
+        ident = identity_functor(chain2)
+        bad = NatTransData(ident, ident, {"0": "m_0_1", "1": "id_1"})
+        for value in (ident, bad):
+            first = value.check()
+            want = list(first)
+            first.append("not a violation")
+            assert value.check() == want and value.is_valid() == (not want)
+        assert bad.check() and not ident.check()
+
+
+def units(monad_or_reflector) -> tuple:
+    """The unit components, as a hashable key."""
+    return tuple(sorted(monad_or_reflector.unit.components.items()))

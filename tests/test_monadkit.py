@@ -6,6 +6,7 @@ from loclab.fincat import (CategoryError, FinCat, FunctorData, NatTransData,
 from loclab.monadkit import (MonadData, is_idempotent, is_monad_morphism,
                              monad_from_reflector, monad_morphism_exists,
                              naturally_equivalent, reflector_from_monad, verify_monad)
+from loclab.modelstruct import unit_extension_masks
 from loclab.reflect import enumerate_replete_reflective, find_reflector
 from oracles import monad_morphism_by_full_scan
 
@@ -188,6 +189,27 @@ class TestMonadSearchAgainstFullScan:
                     for t in monads:
                         assert components(monad_morphism_exists(s, t)) == \
                             monad_morphism_by_full_scan(s, t), name
+
+    def test_unit_extension_masks_match_the_search(self, certified_families):
+        # A lattice is thin, so every unit-law candidate is natural and a
+        # monad morphism: the mask decides the search, not just bounds it.
+        for name, (loc, coloc) in certified_families.items():
+            for family in (loc, coloc.opposite_family):
+                monads = [monad_from_reflector(r) for r in family.reflectors]
+                masks = unit_extension_masks(family.base, monads)
+                for i, t in enumerate(monads):
+                    for j, s in enumerate(monads):
+                        assert (masks[i] >> j & 1 == 1) == \
+                            (monad_morphism_exists(s, t) is not None), (name, i, j)
+
+    def test_unit_extension_masks_admit_every_morphism(self, cats):
+        for name, cat in cats.items():
+            monads = [monad_from_reflector(r) for r in enumerate_replete_reflective(cat)]
+            masks = unit_extension_masks(cat, monads)
+            for i, t in enumerate(monads):
+                for j, s in enumerate(monads):
+                    if monad_morphism_exists(s, t) is not None:
+                        assert masks[i] >> j & 1, (name, i, j)
 
     def test_backtracking_on_pointed2(self, cats):
         # The identity functor on pointed2 with unit and multiplication at w

@@ -1,12 +1,16 @@
 import pytest
 
-from loclab.fincat import CategoryError, FinCat
+from itertools import combinations
+
+from loclab.fincat import CategoryError, FinCat, iso_classes, opposite
 from loclab.lifting import llp_class, rlp_class
 from loclab.modelstruct import (enumerate_localizations, localization_from_reflector,
                                 verify_model_axioms)
 from loclab.reflect import (certify_reflector, enumerate_replete_reflective,
-                            find_reflector, inverted_class, is_replete)
-from oracles import closure_operator_fixed_sets, reflective_by_hom_bijection
+                            find_reflector, inverted_class, is_replete,
+                            non_universal_target, universal_row)
+from oracles import (closure_operator_fixed_sets, non_universal_target_by_scan,
+                     reflective_by_hom_bijection, universal_arrows_by_scan)
 
 
 def iso_pair():
@@ -52,6 +56,35 @@ class TestFindReflector:
     def test_empty_subcategory(self, chain2):
         s = find_reflector(chain2, set())
         assert not s.found and s.witness == "0"
+
+
+def row_categories(cats, bench_lattices):
+    """Every bundled category and its opposite, and the bench lattices."""
+    named = sorted(cats.items()) + [(f"{name}^op", opposite(cat))
+                                    for name, cat in sorted(cats.items())]
+    return named + sorted(bench_lattices.items())
+
+
+class TestUniversalRows:
+    def test_rows_against_scan(self, cats, bench_lattices):
+        for name, cat in row_categories(cats, bench_lattices):
+            for u in cat.morphisms:
+                want = {b for b in cat.objects
+                        if non_universal_target_by_scan(cat, (b,), u) is None}
+                assert universal_row(cat, u) == want, (name, u)
+                assert non_universal_target(cat, cat.objects, u) == \
+                    non_universal_target_by_scan(cat, cat.objects, u), (name, u)
+
+    def test_find_reflector_on_every_union_against_scan(self, cats, bench_lattices):
+        for name, cat in row_categories(cats, bench_lattices):
+            classes = iso_classes(cat)
+            for k in range(len(classes) + 1):
+                for combo in combinations(classes, k):
+                    members = frozenset(x for cls in combo for x in cls)
+                    search = find_reflector(cat, members)
+                    got = search.reflector.unit.components if search.found else search.witness
+                    assert got == universal_arrows_by_scan(cat, members), \
+                        (name, sorted(members))
 
 
 class TestEnumeration:
