@@ -1,7 +1,7 @@
 import pytest
 
 from loclab import corpus
-from loclab.fincat import FinCat
+from loclab.fincat import FinCat, opposite
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +53,15 @@ def bench_lattices():
     return {"chain8": poset_category("chain8", chain, lambda a, b: int(a) <= int(b)),
             "B3": poset_category("B3", cube, below),
             "grid2x4": poset_category("grid2x4", grid, below)}
+
+
+@pytest.fixture(scope="session")
+def row_categories(cats, bench_lattices):
+    """(name, category) for every bundled category and bench lattice and for
+    the opposite of each."""
+    named = {**cats, **bench_lattices}
+    return [(name, cat) for base, cat in sorted(named.items())
+            for name, cat in ((base, cat), (f"{base}^op", opposite(cat)))]
 
 
 @pytest.fixture(scope="session")

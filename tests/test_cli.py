@@ -6,7 +6,7 @@ import pytest
 
 from loclab import corpus, fincat, lifting, modelstruct, monadkit, ringmod
 from loclab.cli import build_parser, main
-from loclab.fincat import FinCat, NatTransData, identity_functor
+from loclab.fincat import NatTransData, identity_functor
 from loclab.reflect import enumerate_replete_reflective
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,7 +160,7 @@ class TestOneParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
 
-    def test_sequence_parses_as_fresh_parsers_do(self, capsys):
+    def test_sequence_parses_as_fresh_parsers_do(self):
         argvs = [["--format", "json", "validate", "chain3"], ["validate", "chain3"],
                  ["k0", "--truncated-abelian", "p=2,bound=2", "--we", "all"],
                  ["--max-objects", "2", "limits", "diamond"], ["k0", "--category", "chain2"],

@@ -160,19 +160,13 @@ def sample_classes(cat):
     return [MorphismClass.of(cat, members) for members in classes]
 
 
-def row_categories(cats, bench_lattices):
-    named = {**cats, **bench_lattices}
-    return [(name, cat) for base, cat in sorted(named.items())
-            for name, cat in ((base, cat), (f"{base}^op", opposite(cat)))]
-
-
 class TestRows:
     """`rlp_class`, `llp_class` and `retract_closure_counterexample` read rows that
     are decided once per category; each is checked against a scan that decides
     every (g, f) afresh."""
 
-    def test_rlp_and_llp_against_oracles(self, cats, bench_lattices):
-        for name, cat in row_categories(cats, bench_lattices):
+    def test_rlp_and_llp_against_oracles(self, row_categories):
+        for name, cat in row_categories:
             # g lifts against f in C exactly when f^op lifts against g^op in C^op
             op = opposite(cat)
             for cls in sample_classes(cat):
@@ -182,8 +176,8 @@ class TestRows:
                     g for g in cat.morphisms
                     if all(lifts_against(cat, g, f) for f in cls.members)}, name
 
-    def test_retract_witness_against_scan(self, cats, bench_lattices):
-        for name, cat in row_categories(cats, bench_lattices):
+    def test_retract_witness_against_scan(self, row_categories):
+        for name, cat in row_categories:
             for cls in sample_classes(cat):
                 assert retract_closure_counterexample(cat, cls) == \
                     retract_witness_by_scan(cat, cls), (name, cls.members)

@@ -2,7 +2,7 @@ import pytest
 
 from itertools import combinations
 
-from loclab.fincat import CategoryError, FinCat, iso_classes, opposite
+from loclab.fincat import CategoryError, FinCat, iso_classes
 from loclab.lifting import llp_class, rlp_class
 from loclab.modelstruct import (enumerate_localizations, localization_from_reflector,
                                 verify_model_axioms)
@@ -58,16 +58,9 @@ class TestFindReflector:
         assert not s.found and s.witness == "0"
 
 
-def row_categories(cats, bench_lattices):
-    """Every bundled category and its opposite, and the bench lattices."""
-    named = sorted(cats.items()) + [(f"{name}^op", opposite(cat))
-                                    for name, cat in sorted(cats.items())]
-    return named + sorted(bench_lattices.items())
-
-
 class TestUniversalRows:
-    def test_rows_against_scan(self, cats, bench_lattices):
-        for name, cat in row_categories(cats, bench_lattices):
+    def test_rows_against_scan(self, row_categories):
+        for name, cat in row_categories:
             for u in cat.morphisms:
                 want = {b for b in cat.objects
                         if non_universal_target_by_scan(cat, (b,), u) is None}
@@ -75,8 +68,8 @@ class TestUniversalRows:
                 assert non_universal_target(cat, cat.objects, u) == \
                     non_universal_target_by_scan(cat, cat.objects, u), (name, u)
 
-    def test_find_reflector_on_every_union_against_scan(self, cats, bench_lattices):
-        for name, cat in row_categories(cats, bench_lattices):
+    def test_find_reflector_on_every_union_against_scan(self, row_categories):
+        for name, cat in row_categories:
             classes = iso_classes(cat)
             for k in range(len(classes) + 1):
                 for combo in combinations(classes, k):
