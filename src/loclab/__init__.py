@@ -7,17 +7,17 @@ all computed and certified by exhaustive search.
 """
 
 from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
-                     is_finitely_bicomplete, iso_classes, limit_search,
-                     morphism_predicates, opposite, validate_category)
+                     is_finitely_bicomplete, iso_classes, limit_search, opposite,
+                     validate_category)
 from .ktheory import (K0Presentation, WaldhausenData, build_truncated_ab_category,
                       cofiber, k0_group, k0_presentation, waldhausen_from_fincat,
                       waldhausen_truncated)
 from .lifting import MorphismClass, is_finitely_well_complete, llp_class, rlp_class
 from .modelstruct import (ModelStructure, bijection_suite, colocalizations_via_op,
                           discrete_structure, enumerate_localizations,
-                          fibrant_objects, fibrant_replacement,
-                          fibrant_replacement_functor, homotopy_category,
-                          homotopy_relations, localization_from_reflector,
+                          fibrant_objects, fibrant_replacement_functor,
+                          homotopy_category, homotopy_relations,
+                          localization_from_reflector,
                           maps_between_fibrants_are_fibrations, verify_model_axioms)
 from .monadkit import (MonadData, is_idempotent, monad_from_reflector,
                        monad_morphism_exists, naturally_equivalent,

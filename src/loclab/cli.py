@@ -161,14 +161,14 @@ def cmd_enumerate_localizations(args) -> Outcome:
         entry["axioms"] = axioms.to_json_dict()
         entry["homotopy_category_objects"] = list(view.objects)
         entry["homotopy_equivalence_ok"] = view.equivalence_ok
-        entry["replacement_adjunction_ok"] = view.replacement.adjunction_ok
-        ok = axioms.ok and view.equivalence_ok and view.replacement.adjunction_ok
+        entry["replacement_adjunction_ok"] = view.adjunction_ok
+        ok = axioms.ok and view.equivalence_ok   # which includes the adjunction
         all_ok = all_ok and ok
         lines.append(f"  fibrant {{{','.join(members)}}}: |we| = {len(st.we.members)}, "
                      f"|fib| = {len(st.fib.members)}, axioms "
                      f"{'pass' if axioms.ok else 'FAIL'}, homotopy category "
                      f"{'pass' if view.equivalence_ok else 'FAIL'}, adjunction "
-                     f"{'pass' if view.replacement.adjunction_ok else 'FAIL'}")
+                     f"{'pass' if view.adjunction_ok else 'FAIL'}")
     payload["all_verdicts_pass"] = all_ok
     lines.append("poset edges (Hasse): " +
                  (", ".join(f"{family.node_label(i)}<{family.node_label(j)}"
@@ -236,7 +236,7 @@ def cmd_homotopy_category(args) -> Outcome:
         "hom_rigidity": view.hom_rigidity,
         "essentially_surjective": view.essentially_surjective,
         "replacement_obj": dict(sorted(view.replacement.functor.obj_map.items())),
-        "adjunction_ok": view.replacement.adjunction_ok,
+        "adjunction_ok": view.adjunction_ok,
     }
     lines = [f"homotopy category: full subcategory on {{{','.join(view.objects)}}}",
              f"equivalence certificate: {'pass' if view.equivalence_ok else 'FAIL'}"]

@@ -66,14 +66,13 @@ class FinCat:
         }
         self._n_morphism_entries = len(triples)
         obj_set = set(self.objects)
-        self._hom: dict[tuple[str, str], tuple[str, ...]] = {}
-        for m in self.morphisms:
+        homs: dict[tuple[str, str], list[str]] = {}
+        for m in self.morphisms:   # sorted, so each hom-set is too
             s, d = self.src[m], self.dst[m]
             if s in obj_set and d in obj_set:
-                self._hom.setdefault((s, d), ())
-        for (s, d) in list(self._hom):
-            self._hom[(s, d)] = tuple(m for m in self.morphisms
-                                      if self.src[m] == s and self.dst[m] == d)
+                homs.setdefault((s, d), []).append(m)
+        self._hom: dict[tuple[str, str], tuple[str, ...]] = {
+            pair: tuple(ms) for pair, ms in homs.items()}
         self._memo: dict = {}
 
     def _memoized(self, key, compute):
@@ -304,13 +303,6 @@ def require_valid(cat: FinCat) -> None:
 # -- morphism predicates --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MorphismPredicates:
-    is_iso: bool
-    is_mono: bool
-    is_epi: bool
-
-
 def is_mono(cat: FinCat, f: str) -> bool:
     """Exhaustive cancellation search: f.u == f.v forces u == v.
 
@@ -320,13 +312,6 @@ def is_mono(cat: FinCat, f: str) -> bool:
     s = cat.src[f]
     return all(u == v or cat.comp(f, u) != cat.comp(f, v)
                for w in cat.objects for u in cat.hom(w, s) for v in cat.hom(w, s))
-
-
-def morphism_predicates(cat: FinCat, f: str) -> MorphismPredicates:
-    """Decide iso/mono/epi for one morphism by exhaustive cancellation search."""
-    cat.require_morphism(f)
-    return MorphismPredicates(is_iso=cat.is_iso(f), is_mono=is_mono(cat, f),
-                              is_epi=is_mono(opposite(cat), f))
 
 
 # -- limits and colimits ----------------------------------------------------------

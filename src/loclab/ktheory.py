@@ -134,11 +134,16 @@ class TruncatedAbelianCategory:
 
 
 def build_truncated_ab_category(p: int, bound: int) -> TruncatedAbelianCategory:
+    """Checks the bound, then the cap, then primality, so a huge p or bound is
+    refused before any large power or trial division.  For p >= 2, p^bound
+    exceeds the cap once bound reaches the cap's bit length."""
+    cap = TRUNCATED_ORDER_CAP
+    if bound < 1:
+        raise CategoryError(f"bound = {bound} must be at least 1")
+    if p >= 2 and (bound >= cap.bit_length() or p ** bound > cap):
+        raise CategoryError(f"p^bound = {p}^{bound} exceeds the cap of {cap}")
     if not _is_prime(p):
         raise CategoryError(f"p = {p} is not prime")
-    if bound < 1 or p ** bound > TRUNCATED_ORDER_CAP:
-        raise CategoryError(
-            f"p^bound = {p ** bound} exceeds the cap of {TRUNCATED_ORDER_CAP}")
     return TruncatedAbelianCategory(p, bound, partitions_up_to(bound))
 
 

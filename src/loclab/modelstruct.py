@@ -18,15 +18,14 @@ from collections import defaultdict
 from functools import cached_property, reduce
 from operator import and_
 
-from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
-                     binary_coproduct, binary_product, identity_functor, opposite,
+from .fincat import (CategoryError, FinCat, binary_coproduct, binary_product, opposite,
                      require_hypotheses, require_valid, terminal_object)
 from .lifting import (MorphismClass, isomorphisms, llp_class,
                       retract_closure_counterexample, rlp_class)
 from .monadkit import is_idempotent, monad_from_reflector, \
     monad_morphism_exists, naturally_equivalent, reflector_from_monad, verify_monad
 from .reflect import Reflector, certify_reflector, enumerate_replete_reflective, \
-    find_reflector, inverted_class, non_universal_target
+    find_reflector, inverted_class, reflector_from_unit
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,14 @@ class ModelStructure:
     fib: MorphismClass
     provenance: str                     # "discrete" | "localization" | "colocalization"
     reflector: Reflector | None = None
+
+    @cached_property
+    def fibrants(self) -> tuple[str, ...]:
+        """Objects whose map to the terminal object is a fibration, scanned once."""
+        term = terminal_object(self.base)
+        if not term.found:
+            raise CategoryError("no terminal object; fibrancy undefined")
+        return tuple(x for x in self.base.objects if term.mediators[x] in self.fib)
 
     def acyclic_fibrations(self) -> MorphismClass:
         return self.we.intersection(self.fib)
@@ -145,84 +152,26 @@ def _factorizations(cat: FinCat) -> dict:
 
 
 def fibrant_objects(ms: ModelStructure) -> tuple[str, ...]:
-    """Objects whose map to the terminal object is a fibration."""
+    """The fibrant objects of `ms`, scanned once per structure."""
+    return ms.fibrants
+
+
+def fibrant_replacement_functor(ms: ModelStructure) -> Reflector:
+    """Fibrant replacement as a reflector onto the fibrant objects: the unit at
+    x is the first acyclic cofibration from x into a fibrant object, in
+    (object, hom) order, and each map goes to its unique filler.  Raises
+    CategoryError when some x has no replacement or some filler is not unique;
+    `certify_reflector` then decides whether it is left adjoint to the
+    inclusion."""
     cat = ms.base
-    term = terminal_object(cat)
-    if not term.found:
-        raise CategoryError("no terminal object; fibrancy undefined")
-    return tuple(x for x in cat.objects if term.mediators[x] in ms.fib)
-
-
-@dataclass(frozen=True)
-class Replacement:
-    obj: str
-    fibrant: str
-    unit: str   # acyclic cofibration obj -> fibrant
-
-
-def fibrant_replacement(ms: ModelStructure, x: str) -> Replacement:
-    """Least fibrant object under an acyclic cofibration from x."""
-    cat = ms.base
-    if x not in set(cat.objects):
-        raise CategoryError(f"unknown object {x!r}")
+    fibrants = fibrant_objects(ms)
     acyclic_cof = ms.acyclic_cofibrations()
-    for p in fibrant_objects(ms):
-        for i in cat.hom(x, p):
-            if i in acyclic_cof:
-                return Replacement(x, p, i)
-    raise CategoryError(f"no fibrant replacement found for {x!r}")
-
-
-@dataclass(frozen=True)
-class ReplacementFunctor:
-    structure: ModelStructure
-    functor: FunctorData          # P, as an endofunctor landing in the fibrants
-    unit: NatTransData            # id -> P, componentwise the replacement units
-    filler_counts: dict           # morphism id -> number of fillers (1 everywhere)
-    functorial: bool
-    adjunction_ok: bool
-    adjunction_witness: tuple = ()
-
-    @property
-    def unique_fillers(self) -> bool:
-        return all(n == 1 for n in self.filler_counts.values())
-
-
-def fibrant_replacement_functor(ms: ModelStructure) -> ReplacementFunctor:
-    """Extend the chosen replacements to a functor, certifying filler uniqueness
-    and the hom-set bijection making replacement left adjoint to the inclusion
-    of fibrant objects."""
-    cat = ms.base
-    repl = {x: fibrant_replacement(ms, x) for x in cat.objects}
-    obj_map = {x: repl[x].fibrant for x in cat.objects}
-    unit = {x: repl[x].unit for x in cat.objects}
-
-    mor_map = {}
-    counts = {}
-    for f in cat.morphisms:
-        fillers = cat.extensions(unit[cat.src[f]], cat.comp(unit[cat.dst[f]], f))
-        counts[f] = len(fillers)
-        if fillers:
-            mor_map[f] = fillers[0]
-    if any(n != 1 for n in counts.values()):
-        bad = min(f for f, n in counts.items() if n != 1)
-        raise CategoryError(
-            f"replacement filler not unique for {bad!r} (count {counts[bad]})")
-
-    functor = FunctorData(cat, cat, obj_map, mor_map)
-    nat = NatTransData(identity_functor(cat), functor, unit)
-    functorial = functor.is_valid() and nat.is_valid()
-
-    # The adjunction: - . unit[x] is a bijection hom(Px, b) -> hom(x, b) for
-    # every fibrant b; the witness is the first (x, b) where it is not.
-    witness: tuple = ()
-    fibrants = sorted(fibrant_objects(ms))
+    unit = {}
     for x in cat.objects:
-        b = non_universal_target(cat, fibrants, unit[x])
-        if b is not None:
-            witness = (x, b)
-            break
-    return ReplacementFunctor(ms, functor, nat, counts, functorial, not witness, witness)
+        unit[x] = next((i for p in fibrants for i in cat.hom(x, p) if i in acyclic_cof), None)
+        if unit[x] is None:
+            raise CategoryError(f"no fibrant replacement found for {x!r}")
+    return reflector_from_unit(cat, fibrants, unit)
 
 
 # -- homotopy relations -----------------------------------------------------------------
@@ -287,8 +236,10 @@ def _paths(cat: FinCat, f: str, g: str) -> tuple | None:
 class HomotopyCategoryView:
     structure: ModelStructure
     objects: tuple[str, ...]            # fibrant objects; hom-sets inherited from the base
-    subcat: FullSubcat
-    replacement: ReplacementFunctor     # realizes the equivalence with the base
+    replacement: Reflector              # realizes the equivalence with the base
+    replacement_functorial: bool
+    adjunction_ok: bool                 # the replacement is certified as a reflector
+    adjunction_witness: tuple           # the first violation's witness, () when none
     we_inverted: bool
     we_inverted_witness: tuple
     hom_rigidity: bool                  # parallel maps into a fibrant: homotopic iff equal
@@ -298,37 +249,42 @@ class HomotopyCategoryView:
     @property
     def equivalence_ok(self) -> bool:
         return (self.we_inverted and self.hom_rigidity and self.essentially_surjective
-                and self.replacement.functorial and self.replacement.adjunction_ok)
+                and self.replacement_functorial and self.adjunction_ok)
 
 
 def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
     """Fibrant full subcategory plus the certificate that it models the
-    homotopy category: replacement inverts weak equivalences, homotopy classes
-    of maps into fibrant objects are singletons, and every object is weakly
-    equivalent to its replacement."""
+    homotopy category: replacement is certified as a reflector onto it (a
+    universal-arrow violation (x, b) names a fibrant b for which
+    - . unit[x]: hom(Px, b) -> hom(x, b) is no bijection), replacement inverts
+    weak equivalences, homotopy classes of maps into fibrant objects are
+    singletons, and every object is weakly equivalent to its replacement."""
     cat = ms.base
     repl = fibrant_replacement_functor(ms)
+    certificate = certify_reflector(repl)
     fibrants = fibrant_objects(ms)
 
     we_witness = next(((f,) for f in ms.we.sorted_members()
-                       if not cat.is_iso(repl.functor.mor_map[f])), ())
+                       if not cat.is_iso(repl.on_mor(f))), ())
 
     def rigid(f: str, g: str) -> bool:
         rep = homotopy_relations(ms, f, g)
         return rep.left == rep.right == (f == g)
 
-    rigidity_witness = next(((f, g) for a in cat.objects for b in sorted(fibrants)
+    rigidity_witness = next(((f, g) for a in cat.objects for b in fibrants
                              for f in cat.hom(a, b) for g in cat.hom(a, b)
                              if not rigid(f, g)), ())
 
     acyclic_cof = ms.acyclic_cofibrations()
-    ess_surj = all(repl.unit.components[x] in acyclic_cof for x in cat.objects)
+    ess_surj = all(repl.unit_at(x) in acyclic_cof for x in cat.objects)
 
     return HomotopyCategoryView(
         structure=ms,
         objects=fibrants,
-        subcat=FullSubcat(cat, frozenset(fibrants)),
         replacement=repl,
+        replacement_functorial=repl.functor.is_valid() and repl.unit.is_valid(),
+        adjunction_ok=not certificate,
+        adjunction_witness=certificate[0].witness if certificate else (),
         we_inverted=not we_witness,
         we_inverted_witness=we_witness,
         hom_rigidity=not rigidity_witness,
@@ -359,10 +315,6 @@ class StructureFamily:
 
     def leq(self, i: int, j: int) -> bool:
         return self.structures[i].we.members <= self.structures[j].we.members
-
-    def leq_matrix(self) -> tuple[tuple[bool, ...], ...]:
-        n = len(self.structures)
-        return tuple(tuple(self.leq(i, j) for j in range(n)) for i in range(n))
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
@@ -485,12 +437,12 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
         add(f"model-axioms {label}", axioms.ok, str(axioms.first_failure or ""))
         add(f"acyclic-fib-are-isos {label}", st.acyclic_fibrations().members == cat.isos())
         ho = homotopy_category(st)
-        fo, repl = ho.objects, ho.replacement
+        fo = ho.objects
         add(f"fibrant-objects-match {label}", set(fo) == set(r.members), str(fo))
-        add(f"replacement-fillers-unique {label}", repl.unique_fillers, "")
-        add(f"replacement-functorial {label}", repl.functorial, "")
-        add(f"replacement-adjunction {label}", repl.adjunction_ok,
-            str(repl.adjunction_witness))
+        # reached only when every filler is unique: reflector_from_unit raises otherwise
+        add(f"replacement-fillers-unique {label}", True, "")
+        add(f"replacement-functorial {label}", ho.replacement_functorial, "")
+        add(f"replacement-adjunction {label}", ho.adjunction_ok, str(ho.adjunction_witness))
         add(f"homotopy-category-equivalence {label}", ho.equivalence_ok, "")
         fib_ok, wit = maps_between_fibrants_are_fibrations(st)
         add(f"fibrant-maps-are-fibrations {label}", fib_ok, str(wit))

@@ -92,29 +92,33 @@ def find_reflector(cat: FinCat, members) -> ReflectorSearch:
     """
     require_valid(cat)
     members = frozenset(str(m) for m in members)
-    subcat = FullSubcat(cat, members)
+    FullSubcat(cat, members)   # refuses members outside the category
     # For each object x, every u: x -> a with a and the universal row of u, in (a, u) order.
     arrows = cat._memoized("arrows-out", lambda c: {x: tuple(
         (u, a, universal_row(c, u)) for a in c.objects for u in c.hom(x, a)) for x in c.objects})
-    obj_map: dict = {}
     unit: dict = {}
     for x in cat.objects:
-        chosen = next((u for u, a, row in arrows[x] if a in members and members <= row), None)
-        if chosen is None:
+        unit[x] = next((u for u, a, row in arrows[x] if a in members and members <= row), None)
+        if unit[x] is None:
             return ReflectorSearch(None, x)
-        obj_map[x], unit[x] = cat.dst[chosen], chosen
+    return ReflectorSearch(reflector_from_unit(cat, members, unit))
 
+
+def reflector_from_unit(cat: FinCat, members, unit: dict) -> Reflector:
+    """The reflector onto the full subcategory on `members` with the given
+    unit: x goes to the target of unit[x], and f to the one w with
+    w . unit[src f] == unit[dst f] . f.  Raises CategoryError when some f has
+    no such w or more than one."""
     mor_map: dict = {}
     for f in cat.morphisms:
         lifts = cat.extensions(unit[cat.src[f]], cat.comp(unit[cat.dst[f]], f))
         if len(lifts) != 1:
             raise CategoryError(
-                f"universal arrow at {cat.src[f]!r} failed to induce a unique map for {f!r}")
+                f"the unit induces {len(lifts)} maps for {f!r}, not exactly one")
         mor_map[f] = lifts[0]
-
-    functor = FunctorData(cat, cat, obj_map, mor_map)
+    functor = FunctorData(cat, cat, {x: cat.dst[u] for x, u in unit.items()}, mor_map)
     nat = NatTransData(identity_functor(cat), functor, unit)
-    return ReflectorSearch(Reflector(subcat, functor, nat))
+    return Reflector(FullSubcat(cat, frozenset(members)), functor, nat)
 
 
 def certify_reflector(refl: Reflector) -> list[Violation]:
@@ -130,10 +134,12 @@ def certify_reflector(refl: Reflector) -> list[Violation]:
     for x in cat.objects:
         if refl.on_obj(x) not in members:
             out.append(Violation("image-in-subcategory", (x, refl.on_obj(x))))
+    targets = sorted(members)
     for x in cat.objects:
-        if not members <= universal_row(cat, refl.unit_at(x)):
-            out.append(Violation("universal-arrow", (x,)))
-    for a in sorted(members):
+        b = non_universal_target(cat, targets, refl.unit_at(x))
+        if b is not None:
+            out.append(Violation("universal-arrow", (x, b)))
+    for a in targets:
         if not cat.is_iso(refl.unit_at(a)):
             out.append(Violation("unit-iso-on-members", (a,)))
     return out

@@ -358,9 +358,6 @@ class AbPresentation:
     def order(self) -> int | None:
         return presented_group_order(self.relations, self.generator_count)
 
-    def is_finite(self) -> bool:
-        return self.order() is not None
-
 
 @dataclass(frozen=True)
 class TensorSquare:

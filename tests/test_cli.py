@@ -1,4 +1,5 @@
 import json
+import time
 from functools import cached_property
 from pathlib import Path
 
@@ -34,6 +35,19 @@ class TestExitCodes:
     def test_cap_violation_is_input_error(self, capsys):
         code, _, err = run(capsys, "validate", "chain6", "--max-objects", "4")
         assert code == 2 and "max-objects" in err
+
+    def test_cap_refusal_is_quick_on_a_large_file(self, capsys, tmp_path):
+        # 200 objects and 24,000 morphisms, each in a hom-set of its own: an
+        # index that rescans every morphism per hom-set makes 576M steps
+        objects = [f"o{i:03d}" for i in range(200)]
+        data = {"objects": objects, "compose": [], "morphisms": [
+            {"id": f"m_{a}_{b}", "src": a, "dst": b} for a in objects for b in objects[:120]]}
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == "" and "200 objects exceeds --max-objects 8" in err
+        assert time.perf_counter() - start < 10
 
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         p = tmp_path / "broken.json"
@@ -324,6 +338,18 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "k0", "--truncated-abelian", arg)
         assert code == 2 and out == "" and "cannot parse truncated-abelian spec" in err
 
+    @pytest.mark.parametrize("arg, message", [
+        ("p=2,bound=20000", "p^bound = 2^20000 exceeds the cap of 64"),
+        ("p=1000000000000000003,bound=1",
+         "p^bound = 1000000000000000003^1 exceeds the cap of 64"),
+        ("p=2,bound=0", "bound = 0 must be at least 1"),
+        ("p=4,bound=2", "p = 4 is not prime"),
+    ])
+    def test_k0_truncated_out_of_range(self, capsys, arg, message):
+        # the bound and the cap are checked before any large power or primality test
+        code, out, err = run(capsys, "k0", "--truncated-abelian", arg)
+        assert code == 2 and out == "" and message in err
+
     def test_k0_truncated_repeated_key(self, capsys, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"kind": "truncated-abelian", "p": 2, "bound": 2, "p": 3}',
@@ -524,6 +550,21 @@ class TestComputedOnce:
         assert code == 0 and seen
         # `seen` keeps every instance alive, so no two of them share an id.
         assert len({id(value) for value in seen}) == len(seen)
+
+    def test_fibrant_objects_scanned_once_per_structure(self, capsys, monkeypatch):
+        seen = []
+
+        def counted(ms, original=modelstruct.ModelStructure.fibrants.func):
+            seen.append(ms)
+            return original(ms)
+
+        prop = cached_property(counted)
+        prop.__set_name__(modelstruct.ModelStructure, "fibrants")
+        monkeypatch.setattr(modelstruct.ModelStructure, "fibrants", prop)
+        code, _, _ = run(capsys, "bijections", "pentagon")
+        assert code == 0
+        # pentagon has 13 localizations; `seen` keeps each structure alive
+        assert len({id(ms) for ms in seen}) == len(seen) == 13
 
     def test_check_returns_a_fresh_list(self, chain2):
         ident = identity_functor(chain2)

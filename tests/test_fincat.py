@@ -4,8 +4,8 @@ from loclab import corpus
 from loclab.fincat import (CategoryError, FinCat, FunctorData, NatTransData,
                            binary_coproduct, binary_product, compose_functors,
                            equalizer, identity_functor, is_finitely_bicomplete,
-                           iso_classes, limit_search, morphism_predicates, opposite,
-                           pullback, pushout, terminal_object, validate_category)
+                           is_mono, iso_classes, limit_search, opposite, pullback,
+                           pushout, terminal_object, validate_category)
 
 
 def make(data):
@@ -78,33 +78,32 @@ class TestValidation:
                   "compose": []})
 
 
+def predicates(cat, f) -> tuple[bool, bool, bool]:
+    """(iso, mono, epi) of f; epi is mono in the opposite, which shares ids."""
+    return cat.is_iso(f), is_mono(cat, f), is_mono(opposite(cat), f)
+
+
 class TestPredicates:
     def test_identity_is_everything(self, chain3):
-        p = morphism_predicates(chain3, "id_1")
-        assert p.is_iso and p.is_mono and p.is_epi
+        assert predicates(chain3, "id_1") == (True, True, True)
 
     def test_poset_arrow_mono_epi_not_iso(self, chain3):
-        p = morphism_predicates(chain3, "m_0_1")
-        assert p.is_mono and p.is_epi and not p.is_iso
+        assert predicates(chain3, "m_0_1") == (False, True, True)
 
     def test_parallel_pair_generator(self, cats):
         # exhaustive cancellation over the 4 morphisms of the free parallel pair:
         # there are no non-identity maps out of Y, so a is (vacuously) epi
-        p = morphism_predicates(cats["parallel_pair"], "a")
-        assert p.is_mono and p.is_epi and not p.is_iso
+        assert predicates(cats["parallel_pair"], "a") == (False, True, True)
 
     def test_finset2_function_semantics(self, cats):
         fs = cats["finset2"]
-        injective_not_surjective = morphism_predicates(fs, "f12_0")
-        assert injective_not_surjective.is_mono and not injective_not_surjective.is_epi
-        surjective_not_injective = morphism_predicates(fs, "f21_00")
-        assert surjective_not_injective.is_epi and not surjective_not_injective.is_mono
-        swap = morphism_predicates(fs, "f22_10")
-        assert swap.is_iso and swap.is_mono and swap.is_epi
+        assert predicates(fs, "f12_0") == (False, True, False)    # injective, not surjective
+        assert predicates(fs, "f21_00") == (False, False, True)   # surjective, not injective
+        assert predicates(fs, "f22_10") == (True, True, True)     # the swap
 
     def test_unknown_morphism_errors(self, chain3):
         with pytest.raises(CategoryError):
-            morphism_predicates(chain3, "nope")
+            chain3.require_morphism("nope")
 
 
 class TestLimits:

@@ -6,14 +6,15 @@ from loclab.lifting import MorphismClass
 from loclab.modelstruct import (ModelStructure, bijection_suite,
                                 colocalizations_via_op, discrete_structure,
                                 enumerate_localizations, fibrant_objects,
-                                fibrant_replacement, fibrant_replacement_functor,
+                                fibrant_replacement_functor,
                                 homotopy_category, homotopy_relations,
                                 localization_from_reflector,
                                 maps_between_fibrants_are_fibrations,
                                 verify_model_axioms)
-from loclab.reflect import find_reflector
+from loclab.reflect import certify_reflector, find_reflector
 from oracles import (axiom_witnesses_by_search, coreflective_members_direct,
-                     hasse_edges_by_triples, homotopy_by_search)
+                     hasse_edges_by_triples, homotopy_by_search,
+                     non_universal_target_by_scan)
 
 
 def model_from_fixture(name):
@@ -148,23 +149,22 @@ class TestFibrantReplacement:
     def test_already_fibrant_object(self, chain3):
         r = find_reflector(chain3, {"1", "2"}).reflector
         ms = localization_from_reflector(r)
-        rep = fibrant_replacement(ms, "2")
-        assert rep.fibrant == "2" and chain3.is_iso(rep.unit)
+        repl = fibrant_replacement_functor(ms)
+        assert repl.on_obj("2") == "2" and chain3.is_iso(repl.unit_at("2"))
 
     def test_chain2_replacement(self, chain2):
         ms = localization_from_reflector(find_reflector(chain2, {"1"}).reflector)
-        rep = fibrant_replacement(ms, "0")
-        assert rep.fibrant == "1" and rep.unit == "m_0_1"
+        repl = fibrant_replacement_functor(ms)
+        assert repl.on_obj("0") == "1" and repl.unit_at("0") == "m_0_1"
 
     def test_functor_unique_fillers_and_adjunction(self, lattices):
         for name, cat in lattices.items():
             if name in ("chain5", "chain6"):
                 continue
             for st in enumerate_localizations(cat).structures:
-                repl = fibrant_replacement_functor(st)
-                assert repl.unique_fillers, name
-                assert repl.functorial, name
-                assert repl.adjunction_ok, (name, repl.adjunction_witness)
+                repl = fibrant_replacement_functor(st)   # raises on a non-unique filler
+                assert repl.functor.is_valid() and repl.unit.is_valid(), name
+                assert certify_reflector(repl) == [], name
 
     def test_functoriality_explicitly(self, chain3):
         ms = localization_from_reflector(find_reflector(chain3, {"1", "2"}).reflector)
@@ -175,6 +175,30 @@ class TestFibrantReplacement:
                 if chain3.src[g] == chain3.dst[f]:
                     assert p.mor_map[chain3.comp(g, f)] == \
                         chain3.comp(p.mor_map[g], p.mor_map[f])
+
+    def test_replacement_is_the_localization_reflector(self, row_categories):
+        # The monad theorem: fibrant replacement in a localization of the
+        # discrete structure is the reflection onto the fibrant objects.
+        structures = 0
+        for name, cat in row_categories:
+            try:
+                family = enumerate_localizations(cat)
+            except CategoryError:   # outside the hypotheses
+                continue
+            for st in family.structures:
+                refl, view = st.reflector, homotopy_category(st)
+                repl = view.replacement
+                assert (repl.members, repl.functor.obj_map, repl.functor.mor_map,
+                        repl.unit.components) == \
+                    (refl.members, refl.functor.obj_map, refl.functor.mor_map,
+                     refl.unit.components), (name, sorted(refl.members))
+                fibrants = sorted(fibrant_objects(st))
+                by_scan = next(((x, b) for x in cat.objects for b in [
+                    non_universal_target_by_scan(cat, fibrants, repl.unit_at(x))]
+                    if b is not None), ())
+                assert view.adjunction_witness == by_scan == (), name
+                structures += 1
+        assert structures == 690
 
 
 class TestHomotopyRelations:
@@ -317,7 +341,10 @@ class TestColocalizations:
         # literally the opposite family's poset
         for cat in (chain3, diamond):
             fam = colocalizations_via_op(cat)
-            assert fam.leq_matrix() == fam.opposite_family.leq_matrix()
+            pairs = [(i, j) for i in range(len(fam.structures))
+                     for j in range(len(fam.structures))]
+            assert [fam.leq(i, j) for i, j in pairs] == \
+                [fam.opposite_family.leq(i, j) for i, j in pairs]
 
 
 class TestSuite:

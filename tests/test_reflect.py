@@ -1,6 +1,7 @@
 import pytest
 
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from loclab.fincat import CategoryError, FinCat, iso_classes
 from loclab.lifting import llp_class, rlp_class
@@ -8,7 +9,7 @@ from loclab.modelstruct import (enumerate_localizations, localization_from_refle
                                 verify_model_axioms)
 from loclab.reflect import (certify_reflector, enumerate_replete_reflective,
                             find_reflector, inverted_class, is_replete,
-                            non_universal_target, universal_row)
+                            non_universal_target, reflector_from_unit, universal_row)
 from oracles import (closure_operator_fixed_sets, non_universal_target_by_scan,
                      reflective_by_hom_bijection, universal_arrows_by_scan)
 
@@ -78,6 +79,38 @@ class TestUniversalRows:
                     got = search.reflector.unit.components if search.found else search.witness
                     assert got == universal_arrows_by_scan(cat, members), \
                         (name, sorted(members))
+
+    def test_units_into_every_subset_against_scan(self, row_categories):
+        # Every choice of unit into every subset, where there are at most 64:
+        # reflector_from_unit raises exactly when some map's filler count is not
+        # 1, and the universal-arrow violations name the scan's first target.
+        seen = set()
+        for name, cat in row_categories:
+            for k in range(1, len(cat.objects) + 1):
+                for members in combinations(cat.objects, k):
+                    choices = [[u for a in members for u in cat.hom(x, a)] for x in cat.objects]
+                    if not all(choices) or prod(map(len, choices)) > 64:
+                        continue
+                    for units in product(*choices):
+                        unit = dict(zip(cat.objects, units))
+                        unique = all(sum(cat.comp(w, unit[cat.src[f]]) ==
+                                         cat.comp(unit[cat.dst[f]], f)
+                                         for w in cat.hom(cat.dst[unit[cat.src[f]]],
+                                                          cat.dst[unit[cat.dst[f]]])) == 1
+                                     for f in cat.morphisms)
+                        if not unique:
+                            with pytest.raises(CategoryError):
+                                reflector_from_unit(cat, members, unit)
+                            continue
+                        refl = reflector_from_unit(cat, members, unit)
+                        got = [v.witness for v in certify_reflector(refl)
+                               if v.law == "universal-arrow"]
+                        want = [(x, b) for x in cat.objects for b in [
+                            non_universal_target_by_scan(cat, members, unit[x])]
+                            if b is not None]
+                        assert got == want, (name, unit)
+                        seen.add(bool(want))
+        assert seen == {False, True}
 
 
 class TestEnumeration:

@@ -190,7 +190,7 @@ class TestTensorSquare:
 
     def test_presentation_finite(self, rings):
         sq = tensor_square(identity_hom(rings["ring_z6"]))
-        assert sq.presentation.is_finite() and sq.order == 6
+        assert sq.presentation.order() is not None and sq.order == 6
 
     @pytest.mark.parametrize("phi", oracle_cases())
     def test_agrees_with_pairs_oracle(self, phi):
