@@ -5,14 +5,14 @@ basis of S.  The Smith normal form of the relations [a] + [b] - [a+b] splits
 the additive group as S = Z/d_1 g_1 + ... + Z/d_k g_k with k <= log2 |S|, so
 S (x)_Z S is the sum of the cyclic groups Z/gcd(d_i, d_j) on the k^2 pairs
 g_i (x) g_j.  The R-balancing relations phi(r) g_i (x) g_j - g_i (x) phi(r) g_j,
-written in that basis, cut it down to S (x)_R S; its order comes out of the
-Smith normal form of the relation matrix.  The multiplication map
-(s, t) |-> s*t is a surjective group homomorphism (it hits s at (s, 1)), so
-between finite groups it is an isomorphism exactly when the orders match.
-That order comparison is the whole localization-existence verdict: a
-Bousfield localization of the discrete structure on the module category with
-fibrant replacement given by base change along phi exists if and only if the
-multiplication map is an isomorphism.
+written in that basis, cut it down to S (x)_R S; its order comes out of a
+certified basis of the relation lattice (`snf.echelon_basis`).  The
+multiplication map (s, t) |-> s*t is a surjective group homomorphism (it hits
+s at (s, 1)), so between finite groups it is an isomorphism exactly when the
+orders match.  That order comparison is the whole localization-existence
+verdict: a Bousfield localization of the discrete structure on the module
+category with fibrant replacement given by base change along phi exists if
+and only if the multiplication map is an isomorphism.
 """
 
 from __future__ import annotations
@@ -226,9 +226,15 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             raise RingError(f"{spec.get('name', kind)}: {order} elements exceeds the cap "
                             f"of {max_size}")
 
+    def integer(value, field: str) -> int:
+        if type(value) is not int:   # refuse floats, strings, bools
+            raise RingError(f"malformed {kind!r} ring spec: {field} must be an integer, "
+                            f"got {value!r}")
+        return value
+
     try:
         if kind == "zn":
-            n = int(spec["n"])
+            n = integer(spec["n"], "n")
             capped(n)
             ring = ring_zn(n, spec.get("name"))
         elif kind == "product":
@@ -242,7 +248,8 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             base = spec["base"]
             if not isinstance(base, dict) or base.get("kind") != "zn":
                 raise RingError("polyquo base must be a zn spec")
-            n, poly = int(base["n"]), [int(c) for c in spec["poly"]]
+            n = integer(base["n"], "base n")
+            poly = [integer(c, f"poly[{i}]") for i, c in enumerate(spec["poly"])]
             capped(n ** (len(poly) - 1))
             ring = ring_polyquo(n, poly, spec.get("name"))
         elif kind == "tables":
@@ -404,7 +411,7 @@ def tensor_square(hom: RingHom) -> TensorSquare:
     (c g_i) (x) g_j - g_i (x) (c g_j) written in coordinates.  The balancing
     relation is additive in r, s and t, so basis pairs and distinct images
     give all of them.  Entries are reduced mod their column's gcd, and
-    duplicate and zero rows are dropped before the Smith normal form.
+    duplicate and zero rows are dropped before the cokernel is computed.
     """
     require_valid_hom(hom)
     s_ring = hom.codomain

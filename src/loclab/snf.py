@@ -1,18 +1,39 @@
-"""Smith normal form over the integers, with explicit self-checking transforms.
+"""Smith normal form over the integers, and cokernels certified through a lattice basis.
 
-The reduction keeps four transform matrices (U, Uinv, V, Vinv) in step with the
-working matrix, so that on return
+Two certificates are checked on every call; neither trusts the reduction path.
+
+`smith_normal_form` keeps four transform matrices (U, Uinv, V, Vinv) in step
+with the working matrix, so that on return
 
     U @ A @ V == D          Uinv @ D @ Vinv == A          V @ Vinv == I
 
 all hold exactly.  Those identities, together with D being diagonal with a
-divisibility chain, certify the invariant factors of the cokernel Z^n / <rows
-of A> without trusting the reduction path itself; `SnfResult.check` re-multiplies
-them and is run on every call.  Entries are Python ints, so intermediate growth
+divisibility chain, certify the invariant factors; `SnfResult.check`
+re-multiplies them.  U and Uinv are m x m for an m-row input.
+
+`cokernel_invariants` and `presented_group_order` need only the group
+Z^n / <rows of A>, which depends only on the row lattice of A.  So
+`echelon_basis` reduces A to a basis H (r x n, r <= n) of that lattice,
+carrying a sparse row of C with each row of H, and `EchelonBasis.check`
+certifies
+
+    C @ A == H                                  lattice(H) in lattice(A)
+    every row of A reduces to zero against H    lattice(A) in lattice(H)
+
+while the Smith normal form of H, with its own check, gives the invariants.
+A tall presentation never builds an m x m matrix: its cost follows the
+generators, not the rows.  Entries are Python ints, so intermediate growth
 during the Euclidean steps is harmless.
 
 >>> smith_normal_form([[2, 4], [6, 8]]).diagonal
 [2, 4]
+>>> basis = echelon_basis([[4, 0], [6, 0], [0, 3], [2, 3]], 2)
+>>> basis.rows
+((2, 0), (0, 3))
+>>> basis.coefficients                  # row 0 of H is -1 * [4, 0] + 1 * [6, 0]
+(((0, -1), (1, 1)), ((2, 1),))
+>>> basis.snf.cokernel_invariants()
+[6]
 >>> cokernel_invariants([[2, 0], [0, 3]], 2)
 [6]
 >>> cokernel_invariants([], 1)
@@ -248,19 +269,160 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
     return result
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _sparse(row: Sequence[int]) -> dict[int, int]:
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _add(v: dict[int, int], q: int, w: dict[int, int]) -> None:
+    """v += q*w in place, for sparse vectors."""
+    for k, y in w.items():
+        z = v.get(k, 0) + q * y
+        if z:
+            v[k] = z
+        else:
+            v.pop(k, None)
+
+
+def _combine(x: int, u: dict[int, int], y: int, w: dict[int, int]) -> dict[int, int]:
+    """x*u + y*w for sparse vectors."""
+    out = {k: x * c for k, c in u.items()} if x else {}
+    _add(out, y, w)
+    return out
+
+
+@dataclass(frozen=True)
+class EchelonBasis:
+    """A basis H of the row lattice of A, with H == C @ A for a sparse C.
+
+    `rows` is H in echelon form: each row's leading entry is positive and
+    lies right of the one above.  `coefficients[i]` is row i of C, as
+    (row of A, multiplier) pairs.  `snf` is the Smith normal form of H.
+    """
+    matrix: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    coefficients: tuple[tuple[tuple[int, int], ...], ...]
+    snf: SnfResult
+
+    def check(self) -> None:
+        """Certify lattice(H) == lattice(A) and the SNF of H; raise SnfError on any failure."""
+        self.check_lattice()
+        self.snf.check()
+
+    def check_lattice(self) -> None:
+        """C @ A == H, every row of A lies in the lattice of H, and `snf` is that of H."""
+        if len(self.coefficients) != len(self.rows):
+            raise SnfError("C and H have different row counts")
+        a = [_sparse(row) for row in self.matrix]
+        h = [_sparse(row) for row in self.rows]
+        for i, (h_row, coef) in enumerate(zip(h, self.coefficients)):
+            acc: dict[int, int] = {}
+            for k, c in coef:
+                if not 0 <= k < len(a):
+                    raise SnfError(f"C names row {k} of A, which has {len(a)} rows")
+                _add(acc, c, a[k])
+            if acc != h_row:
+                raise SnfError(f"C @ A != H at row {i}")
+        # Subtracting rows of H from a row of A until nothing is left writes
+        # it in the lattice of H; on an echelon H the leading entry decides.
+        by_lead = {min(h_row): h_row for h_row in h if h_row}
+        for k, v in enumerate(a):
+            while v:
+                j = min(v)
+                h_row = by_lead.get(j)
+                if h_row is None or v[j] % h_row[j]:
+                    raise SnfError(f"row {k} of A is not in the row lattice of H")
+                _add(v, -(v[j] // h_row[j]), h_row)
+        if self.snf.matrix != self.rows:
+            raise SnfError("the Smith normal form is not that of H")
+
+
+def echelon_basis(matrix: Sequence[Sequence[int]], n_cols: int) -> EchelonBasis:
+    """Hermite basis of the row lattice, built one row at a time (Cohen, "A Course
+    in Computational Algebraic Number Theory", 1993, §2.4) and self-checked.
+
+    Each row of A is reduced against the pivot rows met so far, at its leading
+    column: an exact multiple of the pivot row is subtracted; otherwise an
+    extended-gcd step makes the gcd combination the pivot row and goes on with
+    the remainder.  A new or changed pivot row is reduced modulo the pivots
+    right of it, and the rows above it modulo it, which keeps the entries
+    small (Kannan-Bachem, SIAM J. Comput. 8, 1979).  Every step is unimodular,
+    so the kept rows span the lattice of A, and each row of C follows its row
+    of H.  The Smith normal form of H checks itself as it is built, and
+    `check_lattice` certifies the rest.
+    """
+    a = tuple(tuple(int(x) for x in row) for row in matrix)
+    if any(len(row) != n_cols for row in a):
+        raise ValueError("relation rows disagree with the generator count")
+    basis: dict[int, tuple[dict[int, int], dict[int, int]]] = {}   # pivot -> (H row, C row)
+
+    def reduce(j: int, columns: list[int]) -> None:
+        # Bring each entry of pivot row j at these pivot columns into [0, pivot).
+        h, hc = basis[j]
+        for i in columns:
+            if i in h:
+                q = h[i] // basis[i][0][i]
+                if q:
+                    _add(h, -q, basis[i][0])
+                    _add(hc, -q, basis[i][1])
+
+    def settle(j: int) -> None:
+        pivots = sorted(basis)
+        later = [i for i in pivots if i > j]
+        reduce(j, later)
+        for i in pivots:
+            if i < j:
+                reduce(i, [j, *later])
+
+    for k, row in enumerate(a):
+        v, c = _sparse(row), {k: 1}
+        while v:
+            j = min(v)
+            if j not in basis:
+                sign = 1 if v[j] > 0 else -1
+                basis[j] = _combine(sign, v, 0, {}), _combine(sign, c, 0, {})
+                settle(j)
+                break
+            h, hc = basis[j]
+            p, x = h[j], v[j]
+            if x % p == 0:
+                _add(v, -(x // p), h)
+                _add(c, -(x // p), hc)
+            else:
+                g, s, t = _xgcd(p, x)
+                basis[j] = _combine(s, h, t, v), _combine(s, hc, t, c)
+                v, c = _combine(p // g, v, -(x // g), h), _combine(p // g, c, -(x // g), hc)
+                settle(j)
+    pivots = sorted(basis)
+    h_rows = tuple(tuple(basis[j][0].get(i, 0) for i in range(n_cols)) for j in pivots)
+    result = EchelonBasis(
+        matrix=a,
+        rows=h_rows,
+        coefficients=tuple(tuple(sorted(basis[j][1].items())) for j in pivots),
+        snf=smith_normal_form(h_rows, n_cols=n_cols),
+    )
+    result.check_lattice()
+    return result
+
+
 def cokernel_invariants(rows: Sequence[Sequence[int]], n_generators: int) -> list[int]:
     """Invariant factors of Z^n_generators modulo the given relation rows.
 
     Units are dropped; a 0 entry stands for one infinite cyclic summand.  The
     empty list therefore means the trivial group.
     """
-    if not rows:
-        return [0] * n_generators
-    return smith_normal_form(rows, n_cols=n_generators).cokernel_invariants()
+    return echelon_basis(rows, n_generators).snf.cokernel_invariants()
 
 
 def presented_group_order(rows: Sequence[Sequence[int]], n_generators: int) -> int | None:
     """Order of the abelian group presented by the rows, or None when infinite."""
-    if not rows:
-        return 1 if n_generators == 0 else None
-    return smith_normal_form(rows, n_cols=n_generators).cokernel_order()
+    return echelon_basis(rows, n_generators).snf.cokernel_order()

@@ -267,6 +267,20 @@ class TestMalformedInputs:
                              "--algebra", "ring_z2", "--map", "hom_z4_to_z2")
         assert code == 2 and out == "" and "malformed" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "zn", "n": 4.9}, "n must be an integer, got 4.9"),
+        ({"kind": "zn", "n": True}, "n must be an integer, got True"),
+        ({"kind": "zn", "n": "4"}, "n must be an integer, got '4'"),
+        ({"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": [1, 1.5, 1]},
+         "poly[1] must be an integer, got 1.5"),
+        ({"kind": "polyquo", "base": {"kind": "zn", "n": 2.0}, "poly": [1, 1, 1]},
+         "base n must be an integer, got 2.0"),
+    ])
+    def test_ring_spec_integer_fields(self, capsys, tmp_path, spec, message):
+        code, out, err = run(capsys, "ring-check", "--ring", write(tmp_path, "ring", spec),
+                             "--algebra", "ring_z2", "--map", "hom_z4_to_z2")
+        assert code == 2 and out == "" and message in err
+
     def test_objects_as_string(self, capsys, tmp_path):
         path = write(tmp_path, "cat", {"objects": "ab", "morphisms": [], "compose": []})
         code, out, err = run(capsys, "validate", path)
@@ -372,12 +386,19 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "validate", str(path))
         assert code == 2 and out == "" and "repeated JSON key 'objects'" in err
 
-    @pytest.mark.parametrize("bound, maps", [(5, 38510027), (6, 73354795389)])
-    def test_k0_truncated_past_the_old_budget(self, capsys, bound, maps):
+    @pytest.mark.parametrize("bound, maps, we", [
+        pytest.param(5, 38510027, "isos", id="5-38510027"),
+        pytest.param(6, 73354795389, "isos", id="6-73354795389"),
+        pytest.param(5, 38510027, "all", id="5-38510027-all"),
+        pytest.param(6, 73354795389, "all", id="6-73354795389-all"),
+    ])
+    def test_k0_truncated_past_the_old_budget(self, capsys, bound, maps, we):
         code, out, _ = run(capsys, "--format", "json", "k0", "--truncated-abelian",
-                           f"p=2,bound={bound}")
+                           f"p=2,bound={bound}", "--we", we)
         report = json.loads(out)
         assert code == 0 and report["trivial"] and report["cofiber_relations"] == maps
+        if we == "all":
+            assert report["we_relations"] == maps
 
 
 class TestLargeRings:

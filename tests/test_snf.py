@@ -1,8 +1,19 @@
+import doctest
+from dataclasses import replace
+from math import prod
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from loclab.snf import (SnfError, cokernel_invariants, presented_group_order,
+from loclab import snf
+from loclab.snf import (SnfError, cokernel_invariants, echelon_basis, presented_group_order,
                         smith_normal_form)
 from oracles import invariant_factors_by_minors
+
+
+def test_module_doctests():
+    result = doctest.testmod(snf)
+    assert result.attempted and not result.failed
 
 
 def test_known_diagonals():
@@ -45,6 +56,26 @@ def test_transform_identities_checked():
         raise AssertionError("tampered diagonal passed the re-multiplication check")
 
 
+def test_lattice_certificate_checked():
+    basis = echelon_basis([[4, 0], [6, 0], [0, 3], [2, 3]], 2)
+    (k, c), *rest = basis.coefficients[0]
+    tampered = [
+        (replace(basis, coefficients=(((k, c + 1), *rest), *basis.coefficients[1:])),
+         "C @ A != H at row 0"),
+        (replace(basis, coefficients=(((9, 1),), *basis.coefficients[1:])),
+         "C names row 9 of A, which has 4 rows"),
+        (replace(basis, rows=((2, 1), *basis.rows[1:])), "C @ A != H at row 0"),
+        (replace(basis, rows=basis.rows[:1], coefficients=basis.coefficients[:1]),
+         "row 2 of A is not in the row lattice of H"),
+        (replace(basis, snf=smith_normal_form([[2, 0], [0, 1]])),
+         "the Smith normal form is not that of H"),
+    ]
+    basis.check()
+    for broken, message in tampered:
+        with pytest.raises(SnfError, match=message):
+            broken.check()
+
+
 matrices = st.integers(min_value=1, max_value=4).flatmap(
     lambda m: st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.lists(
@@ -57,6 +88,25 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 def test_matches_minor_gcd_oracle(a):
     result = smith_normal_form(a)   # self-check runs
     assert result.diagonal == invariant_factors_by_minors(a)
+
+
+tall_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
+        min_size=1, max_size=10))
+
+
+@given(tall_matrices)
+@settings(max_examples=150, deadline=None)
+def test_cokernel_matches_minor_gcd_oracle(a):
+    n = len(a[0])
+    diagonal = invariant_factors_by_minors(a)
+    rank = sum(1 for d in diagonal if d)
+    want = [d for d in diagonal if d > 1] + [0] * (n - rank)
+    order = prod(d for d in diagonal if d) if rank == n else None
+    full = smith_normal_form(a)
+    assert cokernel_invariants(a, n) == full.cokernel_invariants() == want
+    assert presented_group_order(a, n) == full.cokernel_order() == order
 
 
 @given(matrices)
