@@ -14,8 +14,7 @@ from .ktheory import (K0Presentation, WaldhausenData, build_truncated_ab_categor
                       waldhausen_truncated)
 from .lifting import MorphismClass, is_finitely_well_complete, llp_class, rlp_class
 from .modelstruct import (ModelStructure, bijection_suite, colocalizations_via_op,
-                          discrete_structure, enumerate_localizations,
-                          fibrant_objects, fibrant_replacement_functor,
+                          enumerate_localizations, fibrant_replacement_functor,
                           homotopy_category, homotopy_relations,
                           localization_from_reflector,
                           maps_between_fibrants_are_fibrations, verify_model_axioms)
@@ -26,7 +25,7 @@ from .reflect import (Reflector, enumerate_replete_reflective, find_reflector,
                       inverted_class, is_replete)
 from .ringmod import (AbPresentation, FiniteRing, RingError, RingHom,
                       localization_exists_verdict, mult_map_is_iso, ring_from_spec,
-                      ring_homs, tensor_square)
+                      tensor_square)
 from .snf import SnfResult, cokernel_invariants, smith_normal_form
 
 __version__ = "0.1.0"

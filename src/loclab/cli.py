@@ -245,11 +245,19 @@ def cmd_homotopy_category(args) -> Outcome:
 
 def _monad_from_file(data: dict, args=DEFAULT_ARGS) -> MonadData:
     cat = _load_category(args, data, within="monad")
-    try:
-        t_obj, t_mor, unit, mult = (dict(data[k]) for k in ("T_obj", "T_mor", "unit", "mult"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CategoryError("monad file needs T_obj, T_mor, unit and mult as objects; "
-                            f"{type(exc).__name__}: {exc}") from exc
+    fields = []
+    for name, keys in (("T_obj", cat.objects), ("T_mor", cat.morphisms),
+                       ("unit", cat.objects), ("mult", cat.objects)):
+        mapping = data.get(name)
+        if not isinstance(mapping, dict):
+            found = f"got {type(mapping).__name__}" if name in data else f"KeyError: {name!r}"
+            raise CategoryError(f"monad file needs T_obj, T_mor, unit and mult as objects; {found}")
+        stray = sorted(set(mapping).difference(keys))
+        if stray:
+            raise CategoryError(f"monad file {name} maps {stray[0]!r}, which is not an id of "
+                                "the category")
+        fields.append(mapping)
+    t_obj, t_mor, unit, mult = fields
     for name, mapping, ids in (("T_obj", t_obj, set(cat.objects)),
                                ("T_mor", t_mor, set(cat.morphisms))):
         for key, value in mapping.items():

@@ -203,19 +203,6 @@ class FinCat:
                 raw_comp.setdefault((identity[dst[m]], m), m)
         return cls(objects, raw_mors, identity, raw_comp, name=str(data.get("name", "")))
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "objects": list(self.objects),
-            "morphisms": [{"id": m, "src": self.src[m], "dst": self.dst[m]}
-                          for m in self.morphisms],
-            "identity": dict(sorted(self.identity.items())),
-            "compose": [{"g": g, "f": f, "gf": h}
-                        for (g, f), h in sorted(self.compose.items())],
-        }
-        if self.name:
-            out["name"] = self.name
-        return out
-
 
 # -- validation ---------------------------------------------------------------
 
@@ -298,20 +285,6 @@ def require_valid(cat: FinCat) -> None:
     report = validation_report(cat)
     if not report.ok:
         raise CategoryError(f"invalid category: {report.violation}")
-
-
-# -- morphism predicates --------------------------------------------------------
-
-
-def is_mono(cat: FinCat, f: str) -> bool:
-    """Exhaustive cancellation search: f.u == f.v forces u == v.
-
-    f is epi in C exactly when it is mono in C^op, which shares morphism ids,
-    so `is_mono(opposite(cat), f)` decides epi.
-    """
-    s = cat.src[f]
-    return all(u == v or cat.comp(f, u) != cat.comp(f, v)
-               for w in cat.objects for u in cat.hom(w, s) for v in cat.hom(w, s))
 
 
 # -- limits and colimits ----------------------------------------------------------
@@ -535,18 +508,9 @@ class FunctorData:
     obj_map: dict
     mor_map: dict
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_mor(self, f: str) -> str:
-        return self.mor_map[f]
-
-    def check(self) -> list[Violation]:
-        """Exhaustively verify totality, endpoints, identities, composition."""
-        return list(self.violations)
-
     @cached_property   # the maps are never mutated, so the verdict is decided once
     def violations(self) -> tuple[Violation, ...]:
+        """Exhaustively verify totality, endpoints, identities, composition."""
         out = []
         targets = set(self.target.objects)
         for x in self.source.objects:
@@ -605,9 +569,6 @@ class NatTransData:
     def at(self, x: str) -> str:
         return self.components[x]
 
-    def check(self) -> list[Violation]:
-        return list(self.violations)
-
     @cached_property   # the components are never mutated, so the verdict is decided once
     def violations(self) -> tuple[Violation, ...]:
         out = []
@@ -645,9 +606,6 @@ class FullSubcat:
         bad = self.members - set(self.parent.objects)
         if bad:
             raise CategoryError(f"subcategory members not in parent: {sorted(bad)}")
-
-    def sorted_members(self) -> tuple[str, ...]:
-        return tuple(sorted(self.members))
 
 
 def iso_classes(cat: FinCat) -> tuple[tuple[str, ...], ...]:

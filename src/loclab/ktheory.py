@@ -208,15 +208,6 @@ class K0Presentation:
     cofiber_relation_count: int            # raw counts before deduplication
     we_relation_count: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "relations": [list(r) for r in self.rows],
-            "tags": list(self.tags),
-            "cofiber_relations": self.cofiber_relation_count,
-            "we_relations": self.we_relation_count,
-        }
-
 
 def _collect(n: int, raw: list) -> tuple[tuple, tuple]:
     seen = {}

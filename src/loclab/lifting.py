@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .fincat import CategoryError, FinCat, hypothesis_scan, is_mono, opposite, require_valid
+from .fincat import CategoryError, FinCat, hypothesis_scan, require_valid
 
 
 @dataclass(frozen=True)
@@ -45,23 +45,6 @@ class MorphismClass:
         if self.cat != other.cat:
             raise CategoryError("morphism classes live over different categories")
         return MorphismClass(self.cat, self.members & other.members)
-
-
-def isomorphisms(cat: FinCat) -> MorphismClass:
-    require_valid(cat)
-    return MorphismClass(cat, cat.isos())
-
-
-def epimorphisms(cat: FinCat) -> MorphismClass:
-    """Epis of C are the monos of C^op, which shares morphism ids."""
-    require_valid(cat)
-    op = opposite(cat)
-    return MorphismClass(cat, frozenset(f for f in cat.morphisms if is_mono(op, f)))
-
-
-def monomorphisms(cat: FinCat) -> MorphismClass:
-    require_valid(cat)
-    return MorphismClass(cat, frozenset(f for f in cat.morphisms if is_mono(cat, f)))
 
 
 # -- squares and lifts ---------------------------------------------------------

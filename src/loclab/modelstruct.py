@@ -4,11 +4,13 @@ The discrete structure has all maps as cofibrations and fibrations and the
 isomorphisms as weak equivalences.  A replete reflective subcategory induces a
 localization of it: cofibrations stay everything, weak equivalences become the
 maps inverted by the reflector, and fibrations are computed as the right
-lifting class of the weak equivalences.  `verify_model_axioms` checks all six
-closed-model axiom families by brute force, so every structure produced here
-is certified rather than assumed.  Each search that depends only on the
-category (retracts, factorizations, cylinders and paths) is a table kept in
-its memo, and a structure's certificate filters that table by its classes.
+lifting class of the weak equivalences.  The discrete structure itself is the
+localization at the whole category, whose reflector inverts exactly the
+isomorphisms.  `verify_model_axioms` checks all six closed-model axiom
+families by brute force, so every structure produced here is certified rather
+than assumed.  Each search that depends only on the category (retracts,
+factorizations, cylinders and paths) is a table kept in its memo, and a
+structure's certificate filters that table by its classes.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from operator import and_
 
 from .fincat import (CategoryError, FinCat, binary_coproduct, binary_product, opposite,
                      require_hypotheses, require_valid, terminal_object)
-from .lifting import (MorphismClass, isomorphisms, llp_class,
-                      retract_closure_counterexample, rlp_class)
+from .lifting import MorphismClass, llp_class, retract_closure_counterexample, rlp_class
 from .monadkit import is_idempotent, monad_from_reflector, \
     monad_morphism_exists, naturally_equivalent, reflector_from_monad, verify_monad
 from .reflect import Reflector, certify_reflector, enumerate_replete_reflective, \
@@ -34,7 +35,7 @@ class ModelStructure:
     cof: MorphismClass
     we: MorphismClass
     fib: MorphismClass
-    provenance: str                     # "discrete" | "localization" | "colocalization"
+    provenance: str                     # "localization" | "colocalization" | "file"
     reflector: Reflector | None = None
 
     @cached_property
@@ -58,13 +59,6 @@ class ModelStructure:
             "fib": list(self.fib.sorted_members()),
             "provenance": self.provenance,
         }
-
-
-def discrete_structure(cat: FinCat) -> ModelStructure:
-    """All maps cofibrations and fibrations; weak equivalences the isomorphisms."""
-    require_hypotheses(cat)
-    everything = MorphismClass.all_morphisms(cat)
-    return ModelStructure(cat, everything, isomorphisms(cat), everything, "discrete")
 
 
 def localization_from_reflector(refl: Reflector) -> ModelStructure:
@@ -151,11 +145,6 @@ def _factorizations(cat: FinCat) -> dict:
 # -- fibrant objects and replacement ---------------------------------------------------
 
 
-def fibrant_objects(ms: ModelStructure) -> tuple[str, ...]:
-    """The fibrant objects of `ms`, scanned once per structure."""
-    return ms.fibrants
-
-
 def fibrant_replacement_functor(ms: ModelStructure) -> Reflector:
     """Fibrant replacement as a reflector onto the fibrant objects: the unit at
     x is the first acyclic cofibration from x into a fibrant object, in
@@ -164,7 +153,7 @@ def fibrant_replacement_functor(ms: ModelStructure) -> Reflector:
     `certify_reflector` then decides whether it is left adjoint to the
     inclusion."""
     cat = ms.base
-    fibrants = fibrant_objects(ms)
+    fibrants = ms.fibrants
     acyclic_cof = ms.acyclic_cofibrations()
     unit = {}
     for x in cat.objects:
@@ -262,7 +251,7 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
     cat = ms.base
     repl = fibrant_replacement_functor(ms)
     certificate = certify_reflector(repl)
-    fibrants = fibrant_objects(ms)
+    fibrants = ms.fibrants
 
     we_witness = next(((f,) for f in ms.we.sorted_members()
                        if not cat.is_iso(repl.on_mor(f))), ())
@@ -295,7 +284,7 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
 
 def maps_between_fibrants_are_fibrations(ms: ModelStructure) -> tuple[bool, tuple]:
     cat = ms.base
-    fibrants = set(fibrant_objects(ms))
+    fibrants = set(ms.fibrants)
     bad = next(((f,) for f in cat.morphisms if cat.src[f] in fibrants
                 and cat.dst[f] in fibrants and f not in ms.fib), ())
     return not bad, bad
@@ -312,9 +301,6 @@ class StructureFamily:
     kind: str                                   # "localization" | "colocalization"
     structures: tuple[ModelStructure, ...]
     subcat_members: tuple[tuple[str, ...], ...]  # reflective (resp. coreflective) members
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.structures[i].we.members <= self.structures[j].we.members
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
@@ -452,7 +438,7 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
     # Loc -> Refl -> Loc reproduces the classes on the nose.
     round_ok, detail = True, ""
     for r, st in zip(refls, structures):
-        search = find_reflector(cat, frozenset(fibrant_objects(st)))
+        search = find_reflector(cat, frozenset(st.fibrants))
         if not search.found:
             round_ok, detail = False, "fibrant objects not reflective"
             break

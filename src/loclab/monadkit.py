@@ -55,14 +55,13 @@ def verify_monad(monad: MonadData) -> MonadReport:
     tt = compose_functors(t, t) if not shape else None
     if tt is not None and (monad.mult.source != tt or monad.mult.target != t):
         shape.append(Violation("monad-shape", (), "mult is not T.T -> T"))
-    bad_functor = t.check()
-    if shape or bad_functor:
-        return MonadReport(False, tuple(shape + bad_functor))
+    if shape or t.violations:
+        return MonadReport(False, (*shape, *t.violations))
 
     out: list[Violation] = []
-    for v in monad.unit.check():
+    for v in monad.unit.violations:
         out.append(Violation("unit-" + v.law, v.witness, v.detail))
-    for v in monad.mult.check():
+    for v in monad.mult.violations:
         out.append(Violation("mult-" + v.law, v.witness, v.detail))
     if any(v.law.endswith(("nat-total", "nat-component", "nat-shape")) for v in out):
         return MonadReport(False, tuple(out))

@@ -40,14 +40,6 @@ class Reflector:
     def unit_at(self, x: str) -> str:
         return self.unit.components[x]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "members": sorted(self.members),
-            "F_obj": dict(sorted(self.functor.obj_map.items())),
-            "F_mor": dict(sorted(self.functor.mor_map.items())),
-            "unit": dict(sorted(self.unit.components.items())),
-        }
-
 
 @dataclass(frozen=True)
 class ReflectorSearch:
@@ -124,8 +116,7 @@ def reflector_from_unit(cat: FinCat, members, unit: dict) -> Reflector:
 def certify_reflector(refl: Reflector) -> list[Violation]:
     """Re-verify everything a reflector promises, exhaustively."""
     cat = refl.cat
-    out = list(refl.functor.check())
-    out.extend(refl.unit.check())
+    out = [*refl.functor.violations, *refl.unit.violations]
     if out:
         return out
     members = refl.members

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd, prod
 
-from .snf import cokernel_invariants, presented_group_order, smith_normal_form
+from .snf import presented_group_order, smith_normal_form
 
 DEFAULT_MAX_RING_SIZE = 16
 
@@ -311,45 +311,6 @@ def require_valid_hom(hom: RingHom) -> None:
         raise RingError(f"ring map violates {report.law} at {report.witness}")
 
 
-def ring_homs(domain: FiniteRing, codomain: FiniteRing) -> tuple[dict, ...]:
-    """All unital ring homomorphisms, by pruned backtracking over the elements."""
-    els = list(domain.elements)
-    codomain_els = codomain.elements
-    assignment: dict = {domain.zero: codomain.zero, domain.one: codomain.one}
-
-    def consistent(a: str) -> bool:
-        for b in els:
-            if b not in assignment:
-                continue
-            for x, y in ((a, b), (b, a)):
-                s = domain.plus(x, y)
-                if s in assignment and assignment[s] != codomain.plus(assignment[x], assignment[y]):
-                    return False
-                p = domain.times(x, y)
-                if p in assignment and assignment[p] != codomain.times(assignment[x], assignment[y]):
-                    return False
-        return True
-
-    if not consistent(domain.zero) or not consistent(domain.one):
-        return ()
-    todo = [e for e in els if e not in assignment]
-    found: list[dict] = []
-
-    def search(i: int) -> None:
-        if i == len(todo):
-            found.append(dict(assignment))
-            return
-        a = todo[i]
-        for v in codomain_els:
-            assignment[a] = v
-            if consistent(a):
-                search(i + 1)
-            del assignment[a]
-
-    search(0)
-    return tuple(found)
-
-
 # -- tensor square and the localization verdict ------------------------------------------
 
 
@@ -358,9 +319,6 @@ class AbPresentation:
     """Free abelian group on `generator_count` generators modulo relation rows."""
     generator_count: int
     relations: tuple[tuple[int, ...], ...]
-
-    def invariant_factors(self) -> list[int]:
-        return cokernel_invariants(self.relations, self.generator_count)
 
     def order(self) -> int | None:
         return presented_group_order(self.relations, self.generator_count)

@@ -14,8 +14,8 @@ re-multiplies them.  U and Uinv are m x m for an m-row input.
 `cokernel_invariants` and `presented_group_order` need only the group
 Z^n / <rows of A>, which depends only on the row lattice of A.  So
 `echelon_basis` reduces A to a basis H (r x n, r <= n) of that lattice,
-carrying a sparse row of C with each row of H, and `EchelonBasis.check`
-certifies
+carrying a sparse row of C with each row of H, and
+`EchelonBasis.check_lattice` certifies
 
     C @ A == H                                  lattice(H) in lattice(A)
     every row of A reduces to zero against H    lattice(A) in lattice(H)
@@ -131,10 +131,6 @@ class SnfResult:
               for i in range(m)]
         if not mat_eq(mat_mul(ud, self.v_inv), a):
             raise SnfError("Uinv @ D @ Vinv != A")
-
-    def invariant_factors(self) -> list[int]:
-        """Diagonal entries with units dropped; trailing zeros mark free rank within min(m, n)."""
-        return [x for x in self.diagonal if x != 1]
 
     def cokernel_invariants(self) -> list[int]:
         """Invariant factors of Z^n_cols modulo the row lattice (0 = one free summand)."""
@@ -312,11 +308,6 @@ class EchelonBasis:
     rows: tuple[tuple[int, ...], ...]
     coefficients: tuple[tuple[tuple[int, int], ...], ...]
     snf: SnfResult
-
-    def check(self) -> None:
-        """Certify lattice(H) == lattice(A) and the SNF of H; raise SnfError on any failure."""
-        self.check_lattice()
-        self.snf.check()
 
     def check_lattice(self) -> None:
         """C @ A == H, every row of A lies in the lattice of H, and `snf` is that of H."""

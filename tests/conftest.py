@@ -44,6 +44,12 @@ def poset_category(name, elements, leq) -> FinCat:
 
 
 @pytest.fixture(scope="session")
+def make_poset():
+    """`poset_category`, for tests that generate their own orders."""
+    return poset_category
+
+
+@pytest.fixture(scope="session")
 def bench_lattices():
     """The 8-element lattices of the lattice-8 benchmark: chain8, B3 and grid2x4."""
     chain = [str(i) for i in range(8)]
@@ -62,6 +68,17 @@ def row_categories(cats, bench_lattices):
     named = {**cats, **bench_lattices}
     return [(name, cat) for base, cat in sorted(named.items())
             for name, cat in ((base, cat), (f"{base}^op", opposite(cat)))]
+
+
+@pytest.fixture(scope="session")
+def discrete():
+    """Builds the discrete structure of a category (all maps cofibrations and
+    fibrations, the isomorphisms weak equivalences) as its localization at the
+    whole category, whose reflector inverts exactly the isomorphisms."""
+    from loclab.modelstruct import localization_from_reflector
+    from loclab.reflect import find_reflector
+
+    return lambda cat: localization_from_reflector(find_reflector(cat, cat.objects).reflector)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,9 @@ diagonal form, every hom matrix of a truncated abelian p-group category instead
 of Littlewood-Richardson support, hom-set searches and full naturality scans
 instead of the per-category tables the model and monad certificates filter,
 per-target factorization counts instead of memoized universal rows), so
-agreement is meaningful.
+agreement is meaningful.  Monomorphisms, epimorphisms and ring homomorphisms
+are decided only here, by exhaustive cancellation and backtracking searches;
+no command needs them, and the tests use them as reference checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from loclab.fincat import FinCat
+from loclab.fincat import FinCat, opposite
+from loclab.lifting import MorphismClass
 
 
 # -- closure operators on a thin category ------------------------------------------
@@ -154,6 +157,30 @@ def universal_arrows_by_scan(cat: FinCat, members) -> dict | str:
             return x
         unit[x] = chosen
     return unit
+
+
+# -- monomorphisms and epimorphisms by cancellation ------------------------------------
+
+
+def is_mono(cat: FinCat, f: str) -> bool:
+    """Exhaustive cancellation search: f.u == f.v forces u == v.
+
+    f is epi in C exactly when it is mono in C^op, which shares morphism ids,
+    so `is_mono(opposite(cat), f)` decides epi.
+    """
+    s = cat.src[f]
+    return all(u == v or cat.comp(f, u) != cat.comp(f, v)
+               for w in cat.objects for u in cat.hom(w, s) for v in cat.hom(w, s))
+
+
+def monomorphisms(cat: FinCat) -> MorphismClass:
+    return MorphismClass(cat, frozenset(f for f in cat.morphisms if is_mono(cat, f)))
+
+
+def epimorphisms(cat: FinCat) -> MorphismClass:
+    """Epis of C are the monos of C^op, which shares morphism ids."""
+    op = opposite(cat)
+    return MorphismClass(cat, frozenset(f for f in cat.morphisms if is_mono(op, f)))
 
 
 # -- lifting re-enumeration ----------------------------------------------------------
@@ -318,7 +345,7 @@ def monad_morphism_by_full_scan(source, target, isos_only: bool = False) -> dict
     return search(0)
 
 
-# -- posets of structures ----------------------------------------------------------------
+# -- posets of structures --------------------------------------------------------------
 
 
 def hasse_edges_by_triples(family) -> list:
@@ -438,13 +465,50 @@ def _certificate(cat: FinCat, shape: str, args: tuple, apex: str, legs: tuple):
     raise AssertionError(f"unknown shape {shape}")
 
 
-# -- ring epimorphism cancellation ---------------------------------------------------
+# -- ring homomorphisms and epimorphism cancellation -----------------------------------
+
+
+def ring_homs(domain, codomain) -> tuple[dict, ...]:
+    """All unital ring homomorphisms, by pruned backtracking over the elements."""
+    els = list(domain.elements)
+    codomain_els = codomain.elements
+    assignment: dict = {domain.zero: codomain.zero, domain.one: codomain.one}
+
+    def consistent(a: str) -> bool:
+        for b in els:
+            if b not in assignment:
+                continue
+            for x, y in ((a, b), (b, a)):
+                s = domain.plus(x, y)
+                if s in assignment and assignment[s] != codomain.plus(assignment[x], assignment[y]):
+                    return False
+                p = domain.times(x, y)
+                if p in assignment and assignment[p] != codomain.times(assignment[x], assignment[y]):
+                    return False
+        return True
+
+    if not consistent(domain.zero) or not consistent(domain.one):
+        return ()
+    todo = [e for e in els if e not in assignment]
+    found: list[dict] = []
+
+    def search(i: int) -> None:
+        if i == len(todo):
+            found.append(dict(assignment))
+            return
+        a = todo[i]
+        for v in codomain_els:
+            assignment[a] = v
+            if consistent(a):
+                search(i + 1)
+            del assignment[a]
+
+    search(0)
+    return tuple(found)
 
 
 def ring_map_is_epi_on(hom, test_rings) -> bool:
     """Cancellation against the supplied rings: u . phi = v . phi forces u = v."""
-    from loclab.ringmod import ring_homs
-
     s = hom.codomain
     for t in test_rings:
         for u in ring_homs(s, t):
@@ -456,7 +520,7 @@ def ring_map_is_epi_on(hom, test_rings) -> bool:
     return True
 
 
-# -- tensor square on all pairs ---------------------------------------------------------
+# -- tensor square on all pairs --------------------------------------------------------
 
 
 def tensor_square_on_pairs(hom):
@@ -505,7 +569,7 @@ def tensor_square_on_pairs(hom):
     return TensorSquare(hom, generators, presentation, order)
 
 
-# -- K0 of truncated abelian p-groups, map by map ----------------------------------------
+# -- K0 of truncated abelian p-groups, map by map --------------------------------------
 
 
 def hom_matrices(p: int, src: tuple, dst: tuple):
@@ -552,7 +616,7 @@ def truncated_k0_by_maps(trunc, maps: list, we_mode: str) -> tuple:
     return tuple(rows), tuple(seen[r] for r in rows), len(maps), n_we
 
 
-# -- minor-gcd invariant factors --------------------------------------------------------
+# -- minor-gcd invariant factors -------------------------------------------------------
 
 
 def invariant_factors_by_minors(matrix: list[list[int]]) -> list[int]:

@@ -12,7 +12,7 @@ from loclab.fincat import FinCat, validate_category
 from loclab.ktheory import k0_group, k0_presentation, waldhausen_truncated
 from loclab.lifting import MorphismClass
 from loclab.modelstruct import (ModelStructure, colocalizations_via_op,
-                                enumerate_localizations, fibrant_objects,
+                                enumerate_localizations,
                                 fibrant_replacement_functor, homotopy_category,
                                 maps_between_fibrants_are_fibrations,
                                 verify_model_axioms)
@@ -76,10 +76,10 @@ def test_criterion_04_bijection_round_trips(families):
         refls, structures = family.reflectors, family.structures
         # Refl -> Loc -> Refl: fibrant objects recover the members
         for r, st in zip(refls, structures):
-            ok = ok and set(fibrant_objects(st)) == set(r.members)
+            ok = ok and set(st.fibrants) == set(r.members)
         # Loc -> Refl -> Loc: the three classes come back on the nose
         for st in structures:
-            search = find_reflector(cat, frozenset(fibrant_objects(st)))
+            search = find_reflector(cat, frozenset(st.fibrants))
             ok = ok and search.found
             if search.found:
                 from loclab.modelstruct import localization_from_reflector
@@ -140,7 +140,8 @@ def test_criterion_08_duality_on_the_diamond(cats):
     # poset agreement: coreflective inclusion is the reverse of we-inclusion
     for i, mi in enumerate(members_via_op):
         for j, mj in enumerate(members_via_op):
-            ok = ok and (mi <= mj) == via_op.leq(j, i)
+            ok = ok and (mi <= mj) == (via_op.structures[j].we.members
+                                       <= via_op.structures[i].we.members)
     # self-duality: colocalization count equals localization count
     ok = ok and len(via_op.structures) == len(enumerate_localizations(diamond).structures)
     report(8, "colocalizations via the opposite category match direct "

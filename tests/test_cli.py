@@ -1,14 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import time
-from functools import cached_property
+from functools import cached_property, reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loclab import corpus, fincat, lifting, modelstruct, monadkit, ringmod
 from loclab.cli import build_parser, main
-from loclab.fincat import NatTransData, identity_functor
+from loclab.fincat import FinCat, NatTransData, identity_functor
 from loclab.reflect import enumerate_replete_reflective
+from test_golden import cases as golden_cases
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -249,6 +254,54 @@ class TestEmptyCategory:
             {"members": [], "laws_ok": True, "idempotent": True, "T_obj": {}}]}
 
 
+def identity_monad() -> dict:
+    """The monad file of the identity monad on chain2."""
+    data = corpus.load_json("chain2")
+    cat = FinCat.from_json_dict(data)
+    identities = {x: cat.id_of(x) for x in cat.objects}
+    return {"category": data, "T_obj": {x: x for x in cat.objects},
+            "T_mor": {m: m for m in cat.morphisms}, "unit": identities, "mult": dict(identities)}
+
+
+MONAD_FIELDS = ("T_obj", "T_mor", "unit", "mult")
+
+
+class TestMonadFileContract:
+    """Each of T_obj, T_mor, unit and mult is a JSON object whose keys are ids of
+    the category: objects, except morphisms for T_mor."""
+
+    def test_identity_monad_passes(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "monads", "--monad-file",
+                           write(tmp_path, "monad", identity_monad()))
+        assert code == 0 and out == "PASS monad laws hold, idempotent\n"
+
+    @pytest.mark.parametrize("field", MONAD_FIELDS)
+    def test_field_as_array_of_pairs(self, capsys, tmp_path, field):
+        data = identity_monad()
+        data[field] = sorted(data[field].items())
+        code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
+        assert code == 2 and out == ""
+        assert "needs T_obj, T_mor, unit and mult as objects; got list" in err
+
+    @pytest.mark.parametrize("field", MONAD_FIELDS)
+    def test_key_outside_the_category(self, capsys, tmp_path, field):
+        data = identity_monad()
+        data[field]["zzz"] = next(iter(data[field].values()))
+        code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
+        assert code == 2 and out == ""
+        assert f"monad file {field} maps 'zzz', which is not an id of the category" in err
+
+    @pytest.mark.parametrize("field, law", [("T_obj", "functor-obj-total"),
+                                            ("T_mor", "functor-mor-total"),
+                                            ("unit", "unit-nat-total"),
+                                            ("mult", "mult-nat-total")])
+    def test_missing_key_is_a_law_violation(self, capsys, tmp_path, field, law):
+        data = identity_monad()
+        del data[field][min(data[field])]
+        code, out, _ = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
+        assert code == 1 and out.startswith(f"FAIL {law} at ")
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize("field", ["T_obj", "T_mor", "unit", "mult"])
     def test_monad_file_missing_field(self, capsys, tmp_path, field):
@@ -399,6 +452,107 @@ class TestMalformedInputs:
         assert code == 0 and report["trivial"] and report["cofiber_relations"] == maps
         if we == "all":
             assert report["we_relations"] == maps
+
+
+# -- generated inputs: mutated corpus and fixture JSON ------------------------------
+
+
+MUTATED_KINDS = {
+    "category": corpus.CATEGORIES + ("fixtures/bad/cat_assoc_broken",
+                                     "fixtures/bad/cat_compose_srcdst"),
+    "model": ("fixtures/bad/model_dropped_fib",),
+    "monad": ("fixtures/bad/monad_mutated_mult",),
+    "truncated": corpus.TRUNCATED,
+    "ring": corpus.RINGS,
+    "ring map": corpus.RING_MAPS,
+}
+
+
+def mutation_targets() -> dict:
+    """Each kind of bundled input -> each input of that kind -> every golden
+    argv that reads it, with "{}" standing for the path of its mutated copy."""
+    argvs = list(golden_cases().values())
+    return {kind: {name: [["{}" if arg == name else arg for arg in argv]
+                          for argv in argvs if name in argv] for name in names}
+            for kind, names in MUTATED_KINDS.items()}
+
+
+MUTATION_TARGETS = mutation_targets()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=6)
+
+
+def json_paths(doc, prefix=()):
+    """The path of every value in a JSON document, the root first."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) \
+        if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutations(draw, doc):
+    """`doc` after one to three edits, each at a drawn path (a depth first, so
+    top-level fields are hit as often as deep entries): replace the value by a
+    drawn JSON value or by a scalar found elsewhere in the document, delete it,
+    or repeat it within its list."""
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(json_paths(doc))
+        depth = draw(st.sampled_from(sorted({len(path) for path in paths})))
+        *parents, key = draw(st.sampled_from([p for p in paths if len(p) == depth])) or (None,)
+        holder = doc
+        for step in parents:
+            holder = holder[step]
+        scalars = [v for v in (reduce(lambda d, k: d[k], p, doc) for p in paths)
+                   if not isinstance(v, (dict, list))]
+        edit = draw(st.sampled_from(["replace", "reuse", "delete", "repeat"]))
+        if edit == "reuse" and scalars:
+            value = draw(st.sampled_from(scalars))
+        elif edit == "delete" and key is not None:
+            del holder[key]
+            continue
+        elif edit == "repeat" and key is not None and isinstance(holder, list):
+            holder.insert(key, copy.deepcopy(holder[key]))
+            continue
+        else:
+            value = draw(json_values)
+        if key is None:
+            doc = value
+        else:
+            holder[key] = value
+    return doc
+
+
+@pytest.fixture(scope="class")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+class TestMutatedInputs:
+    """Whatever a bundled input is mutated into, every subcommand that reads it
+    keeps the exit-code contract: no exception escapes `main`, and the code is
+    0, 1 or 2."""
+
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_exit_contract(self, data, mutation_dir):
+        inputs = MUTATION_TARGETS[data.draw(st.sampled_from(sorted(MUTATION_TARGETS)))]
+        name = data.draw(st.sampled_from(sorted(inputs)))
+        doc = data.draw(mutations(corpus.load_json(name)))
+        path = mutation_dir / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [str(path) if arg == "{}" else arg
+                for arg in data.draw(st.sampled_from(inputs[name]))]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
 
 
 class TestLargeRings:
@@ -587,15 +741,14 @@ class TestComputedOnce:
         # pentagon has 13 localizations; `seen` keeps each structure alive
         assert len({id(ms) for ms in seen}) == len(seen) == 13
 
-    def test_check_returns_a_fresh_list(self, chain2):
+    def test_violations_decided_once(self, chain2):
         ident = identity_functor(chain2)
         bad = NatTransData(ident, ident, {"0": "m_0_1", "1": "id_1"})
         for value in (ident, bad):
-            first = value.check()
-            want = list(first)
-            first.append("not a violation")
-            assert value.check() == want and value.is_valid() == (not want)
-        assert bad.check() and not ident.check()
+            # an immutable tuple, so no caller can alter the cached verdict
+            assert isinstance(value.violations, tuple) and value.violations is value.violations
+            assert value.is_valid() == (not value.violations)
+        assert bad.violations and not ident.violations
 
 
 def units(monad_or_reflector) -> tuple:

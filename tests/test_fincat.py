@@ -1,11 +1,13 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from loclab import corpus
 from loclab.fincat import (CategoryError, FinCat, FunctorData, NatTransData,
                            binary_coproduct, binary_product, compose_functors,
                            equalizer, identity_functor, is_finitely_bicomplete,
-                           is_mono, iso_classes, limit_search, opposite, pullback,
+                           iso_classes, limit_search, opposite, pullback,
                            pushout, terminal_object, validate_category)
+from oracles import is_mono, least_limit
 
 
 def make(data):
@@ -106,6 +108,23 @@ class TestPredicates:
             chain3.require_morphism("nope")
 
 
+def assert_every_search_is_the_least_limit(cat):
+    """Every shape `limit_search` takes, on every argument tuple that fits it."""
+    pairs = [(x, y) for x in cat.objects for y in cat.objects]
+    arrows = [(f, g) for f in cat.morphisms for g in cat.morphisms]
+    cases = [("terminal", ()), ("initial", ())]
+    cases += [(shape, pair) for pair in pairs
+              for shape in ("binary-product", "binary-coproduct")]
+    cases += [(shape, (f, g)) for f, g in arrows if cat.parallel(f, g)
+              for shape in ("equalizer", "coequalizer")]
+    cases += [("pullback", (f, g)) for f, g in arrows if cat.dst[f] == cat.dst[g]]
+    cases += [("pushout", (f, g)) for f, g in arrows if cat.src[f] == cat.src[g]]
+    for shape, args in cases:
+        r = limit_search(cat, shape, *args)
+        assert (r.found, r.apex, r.legs, r.mediators) == least_limit(cat, shape, args), \
+            (cat.name, shape, args)
+
+
 class TestLimits:
     def test_terminal_of_chain(self, chain3):
         assert terminal_object(chain3).apex == "2"
@@ -146,22 +165,7 @@ class TestLimits:
 
     @pytest.mark.parametrize("name", corpus.CATEGORIES)
     def test_every_search_is_the_least_limit(self, cats, name):
-        from oracles import least_limit
-
-        cat = cats[name]
-        pairs = [(x, y) for x in cat.objects for y in cat.objects]
-        arrows = [(f, g) for f in cat.morphisms for g in cat.morphisms]
-        cases = [("terminal", ()), ("initial", ())]
-        cases += [(shape, pair) for pair in pairs
-                  for shape in ("binary-product", "binary-coproduct")]
-        cases += [(shape, (f, g)) for f, g in arrows if cat.parallel(f, g)
-                  for shape in ("equalizer", "coequalizer")]
-        cases += [("pullback", (f, g)) for f, g in arrows if cat.dst[f] == cat.dst[g]]
-        cases += [("pushout", (f, g)) for f, g in arrows if cat.src[f] == cat.src[g]]
-        for shape, args in cases:
-            r = limit_search(cat, shape, *args)
-            assert (r.found, r.apex, r.legs, r.mediators) == least_limit(cat, shape, args), \
-                (shape, args)
+        assert_every_search_is_the_least_limit(cats[name])
 
     def test_searches_are_memoized(self, diamond):
         assert binary_product(diamond, "a", "b") is binary_product(diamond, "a", "b")
@@ -223,7 +227,7 @@ class TestFunctors:
         f = identity_functor(chain3)
         broken = FunctorData(chain3, chain3, dict(f.obj_map),
                              {**f.mor_map, "m_0_1": "m_0_2"})
-        laws = {v.law for v in broken.check()}
+        laws = {v.law for v in broken.violations}
         assert "functor-endpoints" in laws or "functor-composition" in laws
 
     def test_composition_of_functors(self, chain3):
@@ -261,3 +265,68 @@ class TestIsoClasses:
 
     def test_iso_pair_collapses(self):
         assert iso_classes(iso_pair()) == (("u", "v"),)
+
+
+# -- generated inputs: transformation monoids ---------------------------------------
+
+
+def transformation_monoid(n: int, generators) -> FinCat:
+    """The one-object category of the maps {0..n-1} -> {0..n-1} generated under
+    composition by `generators` (tuples of images), the identity included."""
+    label = lambda t: "t" + "".join(map(str, t))
+    unit = tuple(range(n))
+    elements, frontier = {unit}, [unit]
+    while frontier:
+        f = frontier.pop()
+        for g in generators:
+            gf = tuple(g[i] for i in f)   # first f, then g
+            if gf not in elements:
+                elements.add(gf)
+                frontier.append(gf)
+    return FinCat(["*"], [(label(f), "*", "*") for f in elements], {"*": label(unit)},
+                  {(label(g), label(f)): label(tuple(g[i] for i in f))
+                   for g in elements for f in elements},
+                  name="M" + "_".join(label(g) for g in generators))
+
+
+def product_category(first: FinCat, second: FinCat) -> FinCat:
+    """first x second, composed componentwise; ids are joined with '|'."""
+    pair = lambda a, b: f"{a}|{b}"
+    morphisms = [(f, g) for f in first.morphisms for g in second.morphisms]
+    return FinCat(
+        [pair(a, b) for a in first.objects for b in second.objects],
+        [(pair(f, g), pair(first.src[f], second.src[g]), pair(first.dst[f], second.dst[g]))
+         for f, g in morphisms],
+        {pair(a, b): pair(first.id_of(a), second.id_of(b))
+         for a in first.objects for b in second.objects},
+        {(pair(f2, g2), pair(f1, g1)): pair(first.comp(f2, f1), second.comp(g2, g1))
+         for f2, g2 in morphisms for f1, g1 in morphisms
+         if first.src[f2] == first.dst[f1] and second.src[g2] == second.dst[g1]},
+        name=f"{first.name}x{second.name}")
+
+
+@st.composite
+def monoid_generators(draw, max_points: int = 3):
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    maps = st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * n)
+    return n, draw(st.lists(maps, max_size=2))
+
+
+class TestRandomTransformationMonoids:
+    @given(generated=monoid_generators())
+    @settings(max_examples=60, deadline=None)
+    def test_alone(self, generated):
+        cat = transformation_monoid(*generated)
+        # The least-limit oracle takes about 2 s on the 24-element monoids
+        # that two maps on 3 points can generate, and under 0.2 s up to 13.
+        assume(len(cat.morphisms) <= 13)
+        assert validate_category(cat).ok
+        assert_every_search_is_the_least_limit(cat)
+
+    @given(generated=monoid_generators(max_points=2))
+    @settings(max_examples=30, deadline=None)
+    def test_in_a_product_with_chain2(self, generated, chain2):
+        monoid = transformation_monoid(*generated)
+        for cat in (product_category(monoid, chain2), product_category(chain2, monoid)):
+            assert validate_category(cat).ok
+            assert_every_search_is_the_least_limit(cat)

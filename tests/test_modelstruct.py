@@ -1,20 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loclab import corpus
-from loclab.fincat import CategoryError, FinCat
+from loclab.fincat import CategoryError, FinCat, opposite
 from loclab.lifting import MorphismClass
 from loclab.modelstruct import (ModelStructure, bijection_suite,
-                                colocalizations_via_op, discrete_structure,
-                                enumerate_localizations, fibrant_objects,
+                                colocalizations_via_op, enumerate_localizations,
                                 fibrant_replacement_functor,
                                 homotopy_category, homotopy_relations,
                                 localization_from_reflector,
                                 maps_between_fibrants_are_fibrations,
                                 verify_model_axioms)
 from loclab.reflect import certify_reflector, find_reflector
-from oracles import (axiom_witnesses_by_search, coreflective_members_direct,
-                     hasse_edges_by_triples, homotopy_by_search,
-                     non_universal_target_by_scan)
+from oracles import (axiom_witnesses_by_search, closure_operator_fixed_sets,
+                     coreflective_members_direct, hasse_edges_by_triples,
+                     homotopy_by_search, non_universal_target_by_scan)
 
 
 def model_from_fixture(name):
@@ -25,32 +25,50 @@ def model_from_fixture(name):
                           MorphismClass.of(cat, data["fib"]), "file")
 
 
+def we_leq(family, i: int, j: int) -> bool:
+    """Structure i lies below structure j: its weak equivalences are among j's."""
+    return family.structures[i].we.members <= family.structures[j].we.members
+
+
 class TestDiscrete:
-    def test_chain2_discrete(self, chain2):
-        ms = discrete_structure(chain2)
+    def test_chain2_discrete(self, chain2, discrete):
+        ms = discrete(chain2)
         assert ms.we.members == chain2.isos()
         assert len(ms.we.members) == 2
         assert verify_model_axioms(ms).ok
 
-    def test_diamond_discrete(self, diamond):
-        assert verify_model_axioms(discrete_structure(diamond)).ok
+    def test_diamond_discrete(self, diamond, discrete):
+        assert verify_model_axioms(discrete(diamond)).ok
 
-    def test_rejects_non_bicomplete(self):
+    def test_rejects_non_bicomplete(self, discrete):
         cat = FinCat.from_json_dict({"objects": ["a", "b"], "morphisms": [], "compose": []})
-        with pytest.raises(CategoryError):
-            discrete_structure(cat)
+        with pytest.raises(CategoryError, match="hypothesis failure"):
+            discrete(cat)
 
-    def test_all_objects_fibrant(self, chain3):
-        assert fibrant_objects(discrete_structure(chain3)) == chain3.objects
+    def test_all_objects_fibrant(self, chain3, discrete):
+        assert discrete(chain3).fibrants == chain3.objects
 
 
 class TestLocalization:
-    def test_identity_reflector_gives_discrete(self, chain3):
-        r = find_reflector(chain3, set(chain3.objects)).reflector
-        ms = localization_from_reflector(r)
-        disc = discrete_structure(chain3)
-        assert (ms.cof.members, ms.we.members, ms.fib.members) == \
-            (disc.cof.members, disc.we.members, disc.fib.members)
+    def test_identity_reflector_gives_discrete(self, cats):
+        # The discrete structure is the localization at the whole category:
+        # on every bundled category and its opposite that meets the hypotheses,
+        # cof = fib = all maps and we = the isomorphisms; the rest are refused.
+        refused = []
+        for name, cat in sorted(cats.items()):
+            for c in (cat, opposite(cat)):
+                search = find_reflector(c, c.objects)
+                assert search.found, name
+                try:
+                    ms = localization_from_reflector(search.reflector)
+                except CategoryError as exc:
+                    assert str(exc).startswith("hypothesis failure"), (name, exc)
+                    refused.append(c.name)
+                    continue
+                everything = frozenset(c.morphisms)
+                assert (ms.cof.members, ms.we.members, ms.fib.members) == \
+                    (everything, c.isos(), everything), c.name
+        assert len(refused) == 10, refused
 
     def test_chain2_top_all_we_fib_isos(self, chain2):
         r = find_reflector(chain2, {"1"}).reflector
@@ -117,15 +135,13 @@ class TestCertificatesAgainstSearch:
             for ms in (st for family in families for st in family.structures):
                 cat = ms.base
                 for a in cat.objects:
-                    for b in fibrant_objects(ms):
+                    for b in ms.fibrants:
                         for f in cat.hom(a, b):
                             for g in cat.hom(a, b):
                                 rep = homotopy_relations(ms, f, g)
                                 assert (rep.left, rep.right) == homotopy_by_search(ms, f, g)
 
     def test_homotopy_on_every_parallel_pair_of_finset2(self, cats):
-        from loclab.fincat import opposite
-
         structures = finset2_structures(cats)
         op = opposite(cats["finset2"])
         structures += [ModelStructure(op, MorphismClass(op, st.fib.members),
@@ -192,7 +208,7 @@ class TestFibrantReplacement:
                         repl.unit.components) == \
                     (refl.members, refl.functor.obj_map, refl.functor.mor_map,
                      refl.unit.components), (name, sorted(refl.members))
-                fibrants = sorted(fibrant_objects(st))
+                fibrants = sorted(st.fibrants)
                 by_scan = next(((x, b) for x in cat.objects for b in [
                     non_universal_target_by_scan(cat, fibrants, repl.unit_at(x))]
                     if b is not None), ())
@@ -202,13 +218,13 @@ class TestFibrantReplacement:
 
 
 class TestHomotopyRelations:
-    def test_equal_maps_homotopic(self, chain3):
-        ms = discrete_structure(chain3)
+    def test_equal_maps_homotopic(self, chain3, discrete):
+        ms = discrete(chain3)
         rep = homotopy_relations(ms, "m_0_1", "m_0_1")
         assert rep.left is True and rep.right is True
 
-    def test_poset_pairs_vacuous(self, diamond):
-        ms = discrete_structure(diamond)
+    def test_poset_pairs_vacuous(self, diamond, discrete):
+        ms = discrete(diamond)
         for f in diamond.morphisms:
             rep = homotopy_relations(ms, f, f)
             assert rep.left is True and rep.right is True
@@ -225,8 +241,6 @@ class TestHomotopyRelations:
         assert rep.right is None and "binary product" in rep.right_reason
 
     def test_distinct_maps_right_homotopy_via_opposite(self, cats):
-        from loclab.fincat import opposite
-
         op = opposite(cats["finset2"])
         everything = MorphismClass.all_morphisms(op)
         ms = ModelStructure(op, everything, MorphismClass(op, op.isos()), everything, "file")
@@ -234,14 +248,14 @@ class TestHomotopyRelations:
         assert rep.right is False
         assert rep.left is None and "binary coproduct" in rep.left_reason
 
-    def test_non_parallel_rejected(self, chain3):
+    def test_non_parallel_rejected(self, chain3, discrete):
         with pytest.raises(CategoryError):
-            homotopy_relations(discrete_structure(chain3), "m_0_1", "m_1_2")
+            homotopy_relations(discrete(chain3), "m_0_1", "m_1_2")
 
 
 class TestHomotopyCategory:
-    def test_discrete_gives_whole_category(self, chain3):
-        view = homotopy_category(discrete_structure(chain3))
+    def test_discrete_gives_whole_category(self, chain3, discrete):
+        view = homotopy_category(discrete(chain3))
         assert view.objects == chain3.objects
         assert view.equivalence_ok
 
@@ -270,7 +284,7 @@ class TestEnumerateLocalizations:
         # order-reversal: bigger subcategory, smaller class of weak equivalences
         for i, mi in enumerate(fam.subcat_members):
             for j, mj in enumerate(fam.subcat_members):
-                assert (set(mi) <= set(mj)) == fam.leq(j, i)
+                assert (set(mi) <= set(mj)) == we_leq(fam, j, i)
 
     def test_distinct_structures(self, diamond):
         fam = enumerate_localizations(diamond)
@@ -316,8 +330,8 @@ class TestColocalizations:
                 assert st.provenance == "colocalization"
                 assert verify_model_axioms(st).ok
 
-    def test_discrete_is_both(self, chain2):
-        disc = discrete_structure(chain2)
+    def test_discrete_is_both(self, chain2, discrete):
+        disc = discrete(chain2)
         loc = enumerate_localizations(chain2)
         colo = colocalizations_via_op(chain2)
         triple = (disc.cof.members, disc.we.members, disc.fib.members)
@@ -343,12 +357,46 @@ class TestColocalizations:
             fam = colocalizations_via_op(cat)
             pairs = [(i, j) for i in range(len(fam.structures))
                      for j in range(len(fam.structures))]
-            assert [fam.leq(i, j) for i, j in pairs] == \
-                [fam.opposite_family.leq(i, j) for i, j in pairs]
+            assert [we_leq(fam, i, j) for i, j in pairs] == \
+                [we_leq(fam.opposite_family, i, j) for i, j in pairs]
 
 
 class TestSuite:
     @pytest.mark.parametrize("name", ["chain2", "chain3", "diamond"])
     def test_suite_passes(self, cats, name):
         report = bijection_suite(cats[name])
+        assert report.ok, [c for c in report.checks if not c[1]]
+
+
+# -- generated inputs: Moore-family lattices ------------------------------------------
+
+
+@st.composite
+def moore_families(draw, max_elements: int = 6):
+    """A family of subsets of {0..k-1} that holds the whole set and is closed
+    under intersection, grown one drawn generator at a time; a generator that
+    would take it past `max_elements` sets is skipped.  Ordered by inclusion,
+    it is a lattice."""
+    k = draw(st.integers(min_value=2, max_value=4))
+    family = {frozenset(range(k))}
+    points = st.integers(min_value=0, max_value=k - 1)
+    for gen in draw(st.lists(st.frozensets(points, max_size=k - 1), max_size=8)):
+        grown = family | {s & gen for s in family}
+        if len(grown) <= max_elements:
+            family = grown
+    return family
+
+
+class TestRandomMooreLattices:
+    """At most 6 elements: the closure-operator oracle enumerates n^n maps."""
+
+    @given(family=moore_families())
+    @settings(max_examples=40, deadline=None)
+    def test_localizations_are_the_closure_operators(self, make_poset, family):
+        sets = {"s" + "".join(map(str, sorted(s))): s for s in family}
+        cat = make_poset("moore", sorted(sets), lambda a, b: sets[a] <= sets[b])
+        fixed = closure_operator_fixed_sets(cat)
+        members = {frozenset(m) for m in enumerate_localizations(cat).subcat_members}
+        assert len(members) == len(fixed) and members == fixed
+        report = bijection_suite(cat)
         assert report.ok, [c for c in report.checks if not c[1]]

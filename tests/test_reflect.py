@@ -168,12 +168,6 @@ class TestReflectorInvariants:
                     assert cat.is_iso(r.on_mor(r.unit_at(x)))
                     assert cat.is_iso(r.unit_at(r.on_obj(x)))
 
-    def test_serialization_shape(self, chain2):
-        r = find_reflector(chain2, {"1"}).reflector
-        d = r.to_json_dict()
-        assert set(d) == {"members", "F_obj", "F_mor", "unit"}
-        assert d["members"] == ["1"]
-
 
 class TestInvertedClass:
     def test_identity_reflector_inverts_only_isos(self, chain3):

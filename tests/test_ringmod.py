@@ -6,9 +6,14 @@ import pytest
 from loclab import corpus
 from loclab.ringmod import (AbPresentation, RingError, RingHom, additive_basis,
                             localization_exists_verdict, mult_map_is_iso,
-                            ring_from_spec, ring_homs, ring_polyquo, ring_product,
+                            ring_from_spec, ring_polyquo, ring_product,
                             ring_zn, tensor_square, validate_ring, validate_ring_hom)
-from oracles import ring_map_is_epi_on, tensor_square_on_pairs
+from loclab.snf import cokernel_invariants
+from oracles import ring_homs, ring_map_is_epi_on, tensor_square_on_pairs
+
+
+def invariant_factors(presentation: AbPresentation) -> list[int]:
+    return cokernel_invariants(presentation.relations, presentation.generator_count)
 
 
 def corpus_rings():
@@ -122,7 +127,7 @@ def assert_swap_symmetric(presentation, n):
             swapped[j * n + i] = c
         swapped_rows.append(tuple(swapped))
     swapped_pres = AbPresentation(n * n, tuple(sorted(set(swapped_rows))))
-    assert swapped_pres.invariant_factors() == presentation.invariant_factors()
+    assert invariant_factors(swapped_pres) == invariant_factors(presentation)
 
 
 def diagonal_hom(factors):
@@ -196,7 +201,7 @@ class TestTensorSquare:
     def test_agrees_with_pairs_oracle(self, phi):
         sq, oracle = tensor_square(phi), tensor_square_on_pairs(phi)
         assert sq.order == oracle.order
-        assert sq.presentation.invariant_factors() == oracle.presentation.invariant_factors()
+        assert invariant_factors(sq.presentation) == invariant_factors(oracle.presentation)
 
     def test_additive_basis(self):
         assert additive_basis(ring_product([ring_zn(2), ring_zn(4)]))[0] == (2, 4)
@@ -246,13 +251,13 @@ class TestVerdicts:
 
 class TestPresentationConventions:
     def test_free_group(self):
-        assert AbPresentation(1, ()).invariant_factors() == [0]
+        assert invariant_factors(AbPresentation(1, ())) == [0]
         assert AbPresentation(1, ()).order() is None
 
     def test_torsion(self):
-        assert AbPresentation(1, ((2,),)).invariant_factors() == [2]
+        assert invariant_factors(AbPresentation(1, ((2,),))) == [2]
         assert AbPresentation(1, ((2,),)).order() == 2
 
     def test_trivial(self):
-        assert AbPresentation(1, ((1,),)).invariant_factors() == []
+        assert invariant_factors(AbPresentation(1, ((1,),))) == []
         assert AbPresentation(1, ((1,),)).order() == 1

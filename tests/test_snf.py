@@ -70,10 +70,10 @@ def test_lattice_certificate_checked():
         (replace(basis, snf=smith_normal_form([[2, 0], [0, 1]])),
          "the Smith normal form is not that of H"),
     ]
-    basis.check()
+    basis.check_lattice()
     for broken, message in tampered:
         with pytest.raises(SnfError, match=message):
-            broken.check()
+            broken.check_lattice()
 
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
