@@ -566,9 +566,6 @@ class NatTransData:
     target: FunctorData
     components: dict   # object id -> morphism id in the shared target category
 
-    def at(self, x: str) -> str:
-        return self.components[x]
-
     @cached_property   # the components are never mutated, so the verdict is decided once
     def violations(self) -> tuple[Violation, ...]:
         out = []

@@ -254,7 +254,7 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
     fibrants = ms.fibrants
 
     we_witness = next(((f,) for f in ms.we.sorted_members()
-                       if not cat.is_iso(repl.on_mor(f))), ())
+                       if not cat.is_iso(repl.functor.mor_map[f])), ())
 
     def rigid(f: str, g: str) -> bool:
         rep = homotopy_relations(ms, f, g)
@@ -265,7 +265,7 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
                              if not rigid(f, g)), ())
 
     acyclic_cof = ms.acyclic_cofibrations()
-    ess_surj = all(repl.unit_at(x) in acyclic_cof for x in cat.objects)
+    ess_surj = all(repl.unit.components[x] in acyclic_cof for x in cat.objects)
 
     return HomotopyCategoryView(
         structure=ms,

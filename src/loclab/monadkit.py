@@ -26,12 +26,6 @@ class MonadData:
     def cat(self) -> FinCat:
         return self.functor.source
 
-    def on_obj(self, x: str) -> str:
-        return self.functor.obj_map[x]
-
-    def on_mor(self, f: str) -> str:
-        return self.functor.mor_map[f]
-
 
 @dataclass(frozen=True)
 class MonadReport:
@@ -67,16 +61,17 @@ def verify_monad(monad: MonadData) -> MonadReport:
         return MonadReport(False, tuple(out))
 
     eta, mu = monad.unit.components, monad.mult.components
+    t_obj, t_mor = t.obj_map, t.mor_map
     for x in cat.objects:
-        tx = monad.on_obj(x)
+        tx = t_obj[x]
         want = cat.id_of(tx)
-        if cat.comp(mu[x], monad.on_mor(eta[x])) != want:
+        if cat.comp(mu[x], t_mor[eta[x]]) != want:
             out.append(Violation("monad-unit-left", (x,), "mu . T(eta) != id"))
         if cat.comp(mu[x], eta[tx]) != want:
             out.append(Violation("monad-unit-right", (x,), "mu . eta_T != id"))
     for x in cat.objects:
-        lhs = cat.comp(mu[x], monad.on_mor(mu[x]))
-        rhs = cat.comp(mu[x], mu[monad.on_obj(x)])
+        lhs = cat.comp(mu[x], t_mor[mu[x]])
+        rhs = cat.comp(mu[x], mu[t_obj[x]])
         if lhs != rhs:
             out.append(Violation("monad-associativity", (x,), f"{lhs} != {rhs}"))
     return MonadReport(not out, tuple(out))
@@ -85,10 +80,11 @@ def verify_monad(monad: MonadData) -> MonadReport:
 def is_idempotent(monad: MonadData) -> bool:
     """Both T(eta_X) and eta_{TX} are isomorphisms, for every X."""
     cat = monad.cat
+    eta = monad.unit.components
     for x in cat.objects:
-        if not cat.is_iso(monad.on_mor(monad.unit.at(x))):
+        if not cat.is_iso(monad.functor.mor_map[eta[x]]):
             return False
-        if not cat.is_iso(monad.unit.at(monad.on_obj(x))):
+        if not cat.is_iso(eta[monad.functor.obj_map[x]]):
             return False
     return True
 
@@ -102,8 +98,8 @@ def monad_from_reflector(refl: Reflector) -> MonadData:
     t = refl.functor
     mu = {}
     for x in cat.objects:
-        tx = refl.on_obj(x)
-        candidates = cat.extensions(refl.unit_at(tx), cat.id_of(tx))
+        tx = t.obj_map[x]
+        candidates = cat.extensions(refl.unit.components[tx], cat.id_of(tx))
         if len(candidates) != 1:
             raise CategoryError(f"multiplication at {x!r} not uniquely determined")
         mu[x] = candidates[0]
@@ -118,7 +114,7 @@ def reflector_from_monad(monad: MonadData) -> Reflector:
     if not is_idempotent(monad):
         raise CategoryError("monad is not idempotent; no associated reflective subcategory")
     cat = monad.cat
-    image = {monad.on_obj(x) for x in cat.objects}
+    image = {monad.functor.obj_map[x] for x in cat.objects}
     members = set()
     for cls in iso_classes(cat):
         if image & set(cls):
@@ -137,11 +133,13 @@ def is_monad_morphism(source: MonadData, target: MonadData, components: dict) ->
     if not sigma.is_valid():
         return False
     for x in cat.objects:
-        if cat.comp(components[x], source.unit.at(x)) != target.unit.at(x):
+        if cat.comp(components[x], source.unit.components[x]) != target.unit.components[x]:
             return False
         # Horizontal composite (sigma * sigma)_X = sigma_{T'X} . T(sigma_X).
-        hor = cat.comp(components[target.on_obj(x)], source.on_mor(components[x]))
-        if cat.comp(components[x], source.mult.at(x)) != cat.comp(target.mult.at(x), hor):
+        hor = cat.comp(components[target.functor.obj_map[x]],
+                       source.functor.mor_map[components[x]])
+        if cat.comp(components[x], source.mult.components[x]) != \
+           cat.comp(target.mult.components[x], hor):
             return False
     return True
 

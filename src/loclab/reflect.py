@@ -31,15 +31,6 @@ class Reflector:
     def members(self) -> frozenset:
         return self.subcat.members
 
-    def on_obj(self, x: str) -> str:
-        return self.functor.obj_map[x]
-
-    def on_mor(self, f: str) -> str:
-        return self.functor.mor_map[f]
-
-    def unit_at(self, x: str) -> str:
-        return self.unit.components[x]
-
 
 @dataclass(frozen=True)
 class ReflectorSearch:
@@ -123,15 +114,15 @@ def certify_reflector(refl: Reflector) -> list[Violation]:
     if not is_replete(cat, members):
         out.append(Violation("replete", tuple(sorted(members))))
     for x in cat.objects:
-        if refl.on_obj(x) not in members:
-            out.append(Violation("image-in-subcategory", (x, refl.on_obj(x))))
+        if refl.functor.obj_map[x] not in members:
+            out.append(Violation("image-in-subcategory", (x, refl.functor.obj_map[x])))
     targets = sorted(members)
     for x in cat.objects:
-        b = non_universal_target(cat, targets, refl.unit_at(x))
+        b = non_universal_target(cat, targets, refl.unit.components[x])
         if b is not None:
             out.append(Violation("universal-arrow", (x, b)))
     for a in targets:
-        if not cat.is_iso(refl.unit_at(a)):
+        if not cat.is_iso(refl.unit.components[a]):
             out.append(Violation("unit-iso-on-members", (a,)))
     return out
 
@@ -159,4 +150,5 @@ def enumerate_replete_reflective(cat: FinCat) -> tuple[Reflector, ...]:
 def inverted_class(refl: Reflector) -> MorphismClass:
     """Morphisms sent to isomorphisms by the reflector."""
     cat = refl.cat
-    return MorphismClass(cat, frozenset(f for f in cat.morphisms if cat.is_iso(refl.on_mor(f))))
+    image = refl.functor.mor_map
+    return MorphismClass(cat, frozenset(f for f in cat.morphisms if cat.is_iso(image[f])))

@@ -1,8 +1,21 @@
 """Finite commutative rings and the tensor-square localization criterion.
 
+Every ring axiom is decided exhaustively, row by row on an integer table.  The
+`add` and `mul` tables are read once into rows of element positions, so
+`add[a][b]` is the position of a + b.  For each pair (a, b) the associative
+and distributive laws over all c are whole-row comparisons, such as
+mul[ab] == [mul[a][x] for x in mul[b]]; only a row that differs is scanned c
+by c, so the first failing law and its witness are those of a triple-by-triple
+scan.
+
 The tensor square of an algebra map phi: R -> S is presented on an additive
-basis of S.  The Smith normal form of the relations [a] + [b] - [a+b] splits
-the additive group as S = Z/d_1 g_1 + ... + Z/d_k g_k with k <= log2 |S|, so
+basis of S.  The additive group is presented on generator rows: the relations
+[a] + [g] - [a+g], for every a and for g = 0 and g in a generating set G of
+(S, +), span the same lattice as [a] + [b] - [a+b] for all pairs, since
+[a] + [b+g] - [a+b+g] = ([a] + [b] - [a+b]) + ([a+b] + [g] - [a+b+g]) -
+([b] + [g] - [b+g]), which is induction on b as a sum of generators.  Their
+Smith normal form splits the additive group as
+S = Z/d_1 g_1 + ... + Z/d_k g_k with k <= log2 |S|, so
 S (x)_Z S is the sum of the cyclic groups Z/gcd(d_i, d_j) on the k^2 pairs
 g_i (x) g_j.  The R-balancing relations phi(r) g_i (x) g_j - g_i (x) phi(r) g_j,
 written in that basis, cut it down to S (x)_R S; its order comes out of a
@@ -51,6 +64,15 @@ class FiniteRing:
     def order(self) -> int:
         return len(self.elements)
 
+    @property
+    def table(self) -> RingTable:
+        """The integer table, read once; a `RingError` if an entry is missing
+        or outside the ring."""
+        table = self._memoized("table", _read_table)
+        if isinstance(table, RingReport):
+            raise RingError(f"{self.name}: ring axiom {table.law} fails at {table.witness}")
+        return table
+
     def plus(self, a: str, b: str) -> str:
         return self.add[(a, b)]
 
@@ -71,41 +93,91 @@ class RingReport:
     witness: tuple = ()
 
 
-def validate_ring(ring: FiniteRing) -> RingReport:
-    """Exhaustive commutative-ring axioms over the tables."""
+@dataclass(frozen=True)
+class RingTable:
+    """A ring's operations on element positions: `add[a][b]` is the position
+    of a + b, and `index` maps each element to its position."""
+    index: dict[str, int]
+    add: list[list[int]]
+    mul: list[list[int]]
+    zero: int
+    one: int
+
+
+def _read_table(ring: FiniteRing) -> RingTable | RingReport:
+    """The integer table, or the first entry, `add` before `mul` and row by
+    row, that is missing or outside the ring."""
     els = ring.elements
-    members = set(els)
-    for table, op in (("add", ring.add), ("mul", ring.mul)):
+    index = {e: i for i, e in enumerate(els)}
+    tables = []
+    for name, op in (("add", ring.add), ("mul", ring.mul)):
+        rows = []
         for a in els:
-            for b in els:
+            row = [index.get(op.get((a, b))) for b in els]
+            if None in row:
+                b = els[row.index(None)]
                 v = op.get((a, b))
                 if v is None:
-                    return RingReport(False, f"{table}-total", (a, b))
-                if v not in members:
-                    return RingReport(False, f"{table}-closed", (a, b, v))
-    for a in els:
-        if ring.plus(a, ring.zero) != a:
-            return RingReport(False, "add-zero", (a,))
-        if ring.times(a, ring.one) != a:
-            return RingReport(False, "mul-one", (a,))
-        if not any(ring.plus(a, b) == ring.zero for b in els):
-            return RingReport(False, "add-inverse", (a,))
-    for a in els:
-        for b in els:
-            if ring.plus(a, b) != ring.plus(b, a):
-                return RingReport(False, "add-commutative", (a, b))
-            if ring.times(a, b) != ring.times(b, a):
-                return RingReport(False, "mul-commutative", (a, b))
-    for a in els:
-        for b in els:
-            for c in els:
-                if ring.plus(ring.plus(a, b), c) != ring.plus(a, ring.plus(b, c)):
-                    return RingReport(False, "add-associative", (a, b, c))
-                if ring.times(ring.times(a, b), c) != ring.times(a, ring.times(b, c)):
-                    return RingReport(False, "mul-associative", (a, b, c))
-                if ring.times(a, ring.plus(b, c)) != \
-                   ring.plus(ring.times(a, b), ring.times(a, c)):
-                    return RingReport(False, "distributive", (a, b, c))
+                    return RingReport(False, f"{name}-total", (a, b))
+                return RingReport(False, f"{name}-closed", (a, b, v))
+            rows.append(row)
+        tables.append(rows)
+    return RingTable(index, *tables, index[ring.zero], index[ring.one])
+
+
+def validate_ring(ring: FiniteRing) -> RingReport:
+    """Exhaustive commutative-ring axioms, decided row by row on the integer table.
+
+    The laws are checked in a fixed order and the first failure is reported
+    with its witness: totality and closure of `add`, then of `mul`; for each
+    a, the zero, the one and an additive inverse; for each (a, b), the two
+    commutative laws; for each (a, b, c), additive and multiplicative
+    associativity and distributivity.
+
+    >>> z3 = ring_zn(3)
+    >>> broken = FiniteRing("Z/3, 2*2 = 2", z3.elements, z3.add,
+    ...                     {**z3.mul, ("2", "2"): "2"}, "0", "1")
+    >>> validate_ring(broken)
+    RingReport(ok=False, law='distributive', witness=('2', '1', '1'))
+    >>> validate_ring(z3)
+    RingReport(ok=True, law=None, witness=())
+    """
+    table = ring._memoized("table", _read_table)
+    if isinstance(table, RingReport):
+        return table
+    els = ring.elements
+    add, mul, zero, one = table.add, table.mul, table.zero, table.one
+    for a, (add_a, mul_a) in enumerate(zip(add, mul)):
+        if add_a[zero] != a:
+            return RingReport(False, "add-zero", (els[a],))
+        if mul_a[one] != a:
+            return RingReport(False, "mul-one", (els[a],))
+        if zero not in add_a:
+            return RingReport(False, "add-inverse", (els[a],))
+    add_cols, mul_cols = list(map(list, zip(*add))), list(map(list, zip(*mul)))
+    for a, (add_a, mul_a) in enumerate(zip(add, mul)):
+        if add_a == add_cols[a] and mul_a == mul_cols[a]:
+            continue
+        for b in range(len(els)):
+            if add_a[b] != add[b][a]:
+                return RingReport(False, "add-commutative", (els[a], els[b]))
+            if mul_a[b] != mul[b][a]:
+                return RingReport(False, "mul-commutative", (els[a], els[b]))
+    for a, (add_a, mul_a) in enumerate(zip(add, mul)):
+        plus_a, times_a = add_a.__getitem__, mul_a.__getitem__
+        for b, (add_b, mul_b) in enumerate(zip(add, mul)):
+            sum_row, prod_row = add[add_a[b]], mul[mul_a[b]]   # (a+b)+c and (ab)c over c
+            if sum_row == list(map(plus_a, add_b)) and prod_row == list(map(times_a, mul_b)) \
+               and list(map(times_a, add_b)) == list(map(add[mul_a[b]].__getitem__, mul_a)):
+                continue
+            for c in range(len(els)):
+                witness = (els[a], els[b], els[c])
+                if sum_row[c] != add_a[add_b[c]]:
+                    return RingReport(False, "add-associative", witness)
+                if prod_row[c] != mul_a[mul_b[c]]:
+                    return RingReport(False, "mul-associative", witness)
+                if mul_a[add_b[c]] != add[mul_a[b]][mul_a[c]]:
+                    return RingReport(False, "distributive", witness)
     return RingReport(True)
 
 
@@ -127,8 +199,8 @@ def ring_zn(n: int, name: str | None = None) -> FiniteRing:
     return FiniteRing(
         name or f"Z/{n}",
         els,
-        {(str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)},
-        {(str(a), str(b)): str((a * b) % n) for a in range(n) for b in range(n)},
+        {(els[a], els[b]): els[(a + b) % n] for a in range(n) for b in range(n)},
+        {(els[a], els[b]): els[(a * b) % n] for a in range(n) for b in range(n)},
         "0", "1" if n > 1 else "0",
     )
 
@@ -232,13 +304,27 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
                             f"got {value!r}")
         return value
 
+    def array(value, field: str) -> list:
+        if type(value) is not list:
+            raise RingError(f"malformed {kind!r} ring spec: {field} must be an array, "
+                            f"got {value!r}")
+        return value
+
+    def square(rows, els: list[str], field: str) -> dict:
+        n = len(els)
+        if type(rows) is not list or len(rows) != n or \
+           any(type(row) is not list or len(row) != n for row in rows):
+            raise RingError(f"malformed {kind!r} ring spec: {field} must be {n} arrays "
+                            f"of {n} entries")
+        return {(a, b): str(v) for a, row in zip(els, rows) for b, v in zip(els, row)}
+
     try:
         if kind == "zn":
             n = integer(spec["n"], "n")
             capped(n)
             ring = ring_zn(n, spec.get("name"))
         elif kind == "product":
-            factors = [ring_from_spec(s, max_size) for s in spec["factors"]]
+            factors = [ring_from_spec(s, max_size) for s in array(spec["factors"], "factors")]
             capped(prod(r.order for r in factors))
             ring = ring_product(factors, spec.get("name"))
             # Both tables are built componentwise, so each law holds in the
@@ -249,17 +335,14 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             if not isinstance(base, dict) or base.get("kind") != "zn":
                 raise RingError("polyquo base must be a zn spec")
             n = integer(base["n"], "base n")
-            poly = [integer(c, f"poly[{i}]") for i, c in enumerate(spec["poly"])]
+            poly = [integer(c, f"poly[{i}]") for i, c in enumerate(array(spec["poly"], "poly"))]
             capped(n ** (len(poly) - 1))
             ring = ring_polyquo(n, poly, spec.get("name"))
         elif kind == "tables":
-            els = [str(e) for e in spec["elements"]]
+            els = [str(e) for e in array(spec["elements"], "elements")]
             capped(len(els))
-            add = {(els[i], els[j]): str(spec["add"][i][j])
-                   for i in range(len(els)) for j in range(len(els))}
-            mul = {(els[i], els[j]): str(spec["mul"][i][j])
-                   for i in range(len(els)) for j in range(len(els))}
-            ring = FiniteRing(str(spec.get("name", "tables")), tuple(els), add, mul,
+            ring = FiniteRing(str(spec.get("name", "tables")), tuple(els),
+                              square(spec["add"], els, "add"), square(spec["mul"], els, "mul"),
                               str(spec["zero"]), str(spec["one"]))
         else:
             raise RingError(f"unknown ring spec kind {kind!r}")
@@ -283,23 +366,32 @@ class RingHom:
 
 
 def validate_ring_hom(hom: RingHom) -> RingReport:
+    """Totality, image, zero and one on the map itself, then additivity and
+    multiplicativity at every (a, b), row by row on the integer tables."""
     r, s, h = hom.domain, hom.codomain, hom.map
-    targets = set(s.elements)
+    r_table, s_table = r.table, s.table
     for a in r.elements:
         if a not in h:
             return RingReport(False, "hom-total", (a,))
-        if h[a] not in targets:
+        if h[a] not in s_table.index:
             return RingReport(False, "hom-image", (a, h[a]))
     if h[r.zero] != s.zero:
         return RingReport(False, "hom-zero", ())
     if h[r.one] != s.one:
         return RingReport(False, "hom-one", ())
-    for a in r.elements:
-        for b in r.elements:
-            if h[r.plus(a, b)] != s.plus(h[a], h[b]):
-                return RingReport(False, "hom-add", (a, b))
-            if h[r.times(a, b)] != s.times(h[a], h[b]):
-                return RingReport(False, "hom-mul", (a, b))
+    image = [s_table.index[h[a]] for a in r.elements]
+    at = image.__getitem__
+    for a, x in enumerate(image):
+        sums, prods = list(map(at, r_table.add[a])), list(map(at, r_table.mul[a]))
+        s_add_x, s_mul_x = s_table.add[x], s_table.mul[x]
+        if sums == list(map(s_add_x.__getitem__, image)) and \
+           prods == list(map(s_mul_x.__getitem__, image)):
+            continue
+        for b, y in enumerate(image):
+            if sums[b] != s_add_x[y]:
+                return RingReport(False, "hom-add", (r.elements[a], r.elements[b]))
+            if prods[b] != s_mul_x[y]:
+                return RingReport(False, "hom-mul", (r.elements[a], r.elements[b]))
     return RingReport(True)
 
 
@@ -335,21 +427,36 @@ class TensorSquare:
 def additive_basis(ring: FiniteRing) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
     """The additive group of the ring as Z/d_1 + ... + Z/d_k, each d_i > 1.
 
-    It is the free abelian group on the elements modulo [a] + [b] - [a+b].
-    The Smith normal form U A V = D of those relations gives the d_i as the
-    non-unit diagonal entries, and the coordinates of element e as row e of
-    V, each taken mod its d_i.  Returns the d_i and the coordinates.
+    It is the free abelian group on the elements modulo the generator rows
+    [a] + [g] - [a+g], for every a and for g = 0 and g in G, where G is
+    chosen greedily in element order, each g outside the subgroup the earlier
+    ones generate (so |G| <= log2 n).  They span the relations [a] + [b] -
+    [a+b] of all pairs (module docstring), and the order of the cokernel is
+    checked to be n.  The Smith normal form U A V = D of the rows gives the
+    d_i as the non-unit diagonal entries, and the coordinates of element e as
+    row e of V, each taken mod its d_i.  Returns the d_i and the coordinates.
     """
     els = ring.elements
     n = len(els)
-    index = {e: i for i, e in enumerate(els)}
+    table = ring.table
+    add = table.add
+    generators = [table.zero]
+    span = {table.zero}
+    for g in range(n):
+        if g not in span:
+            generators.append(g)
+            cosets, x = set(span), g
+            while x not in span:
+                cosets.update(add[h][x] for h in span)
+                x = add[x][g]
+            span = cosets
     rows: set[tuple[int, ...]] = set()
-    for i, a in enumerate(els):
-        for b in els[i:]:
+    for g in generators:
+        for a, add_a in enumerate(add):
             row = [0] * n
-            row[i] += 1
-            row[index[b]] += 1
-            row[index[ring.plus(a, b)]] -= 1
+            row[a] += 1
+            row[g] += 1
+            row[add_a[g]] -= 1
             rows.add(tuple(row))
     snf = smith_normal_form(sorted(rows), n_cols=n)
     order = snf.cokernel_order()
@@ -357,7 +464,7 @@ def additive_basis(ring: FiniteRing) -> tuple[tuple[int, ...], dict[str, tuple[i
         raise RingError(f"{ring.name}: additive presentation has order {order}, not {n}")
     kept = [i for i, d in enumerate(snf.diagonal) if d != 1]
     orders = tuple(snf.diagonal[i] for i in kept)
-    coords = {e: tuple(snf.v[index[e]][i] % snf.diagonal[i] for i in kept) for e in els}
+    coords = {e: tuple(snf.v[table.index[e]][i] % snf.diagonal[i] for i in kept) for e in els}
     return orders, coords
 
 

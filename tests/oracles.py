@@ -8,7 +8,9 @@ diagonal form, every hom matrix of a truncated abelian p-group category instead
 of Littlewood-Richardson support, hom-set searches and full naturality scans
 instead of the per-category tables the model and monad certificates filter,
 per-target factorization counts instead of memoized universal rows), so
-agreement is meaningful.  Monomorphisms, epimorphisms and ring homomorphisms
+agreement is meaningful.  The ring and ring-map axioms are re-decided triple by
+triple on the string tables, and the additive group is presented on all pairs
+instead of generator rows.  Monomorphisms, epimorphisms and ring homomorphisms
 are decided only here, by exhaustive cancellation and backtracking searches;
 no command needs them, and the tests use them as reference checks.
 """
@@ -313,9 +315,9 @@ def monad_morphism_by_full_scan(source, target, isos_only: bool = False) -> dict
     objects = list(cat.objects)
     candidates = []
     for x in objects:
-        opts = [c for c in cat.hom(source.on_obj(x), target.on_obj(x))
+        opts = [c for c in cat.hom(source.functor.obj_map[x], target.functor.obj_map[x])
                 if (not isos_only or cat.is_iso(c))
-                and cat.comp(c, source.unit.at(x)) == target.unit.at(x)]
+                and cat.comp(c, source.unit.components[x]) == target.unit.components[x]]
         if not opts:
             return None
         candidates.append(opts)
@@ -325,8 +327,8 @@ def monad_morphism_by_full_scan(source, target, isos_only: bool = False) -> dict
         for f in cat.morphisms:
             a, b = cat.src[f], cat.dst[f]
             if a in assignment and b in assignment:
-                if cat.comp(assignment[b], source.on_mor(f)) != \
-                   cat.comp(target.on_mor(f), assignment[a]):
+                if cat.comp(assignment[b], source.functor.mor_map[f]) != \
+                   cat.comp(target.functor.mor_map[f], assignment[a]):
                     return False
         return True
 
@@ -463,6 +465,92 @@ def _certificate(cat: FinCat, shape: str, args: tuple, apex: str, legs: tuple):
                     expected[(w, u, v)] = ms[0]
         return expected
     raise AssertionError(f"unknown shape {shape}")
+
+
+# -- ring axioms, triple by triple --------------------------------------------------------
+
+
+def validate_ring_by_triples(ring):
+    """The commutative-ring axioms, one string lookup per entry and per
+    triple, in the order `ringmod.validate_ring` reports them."""
+    from loclab.ringmod import RingReport
+
+    els = ring.elements
+    members = set(els)
+    for table, op in (("add", ring.add), ("mul", ring.mul)):
+        for a in els:
+            for b in els:
+                v = op.get((a, b))
+                if v is None:
+                    return RingReport(False, f"{table}-total", (a, b))
+                if v not in members:
+                    return RingReport(False, f"{table}-closed", (a, b, v))
+    for a in els:
+        if ring.plus(a, ring.zero) != a:
+            return RingReport(False, "add-zero", (a,))
+        if ring.times(a, ring.one) != a:
+            return RingReport(False, "mul-one", (a,))
+        if not any(ring.plus(a, b) == ring.zero for b in els):
+            return RingReport(False, "add-inverse", (a,))
+    for a in els:
+        for b in els:
+            if ring.plus(a, b) != ring.plus(b, a):
+                return RingReport(False, "add-commutative", (a, b))
+            if ring.times(a, b) != ring.times(b, a):
+                return RingReport(False, "mul-commutative", (a, b))
+    for a in els:
+        for b in els:
+            for c in els:
+                if ring.plus(ring.plus(a, b), c) != ring.plus(a, ring.plus(b, c)):
+                    return RingReport(False, "add-associative", (a, b, c))
+                if ring.times(ring.times(a, b), c) != ring.times(a, ring.times(b, c)):
+                    return RingReport(False, "mul-associative", (a, b, c))
+                if ring.times(a, ring.plus(b, c)) != \
+                   ring.plus(ring.times(a, b), ring.times(a, c)):
+                    return RingReport(False, "distributive", (a, b, c))
+    return RingReport(True)
+
+
+def validate_ring_hom_by_pairs(hom):
+    """The ring-map laws, one string lookup per pair, in the order
+    `ringmod.validate_ring_hom` reports them."""
+    from loclab.ringmod import RingReport
+
+    r, s, h = hom.domain, hom.codomain, hom.map
+    targets = set(s.elements)
+    for a in r.elements:
+        if a not in h:
+            return RingReport(False, "hom-total", (a,))
+        if h[a] not in targets:
+            return RingReport(False, "hom-image", (a, h[a]))
+    if h[r.zero] != s.zero:
+        return RingReport(False, "hom-zero", ())
+    if h[r.one] != s.one:
+        return RingReport(False, "hom-one", ())
+    for a in r.elements:
+        for b in r.elements:
+            if h[r.plus(a, b)] != s.plus(h[a], h[b]):
+                return RingReport(False, "hom-add", (a, b))
+            if h[r.times(a, b)] != s.times(h[a], h[b]):
+                return RingReport(False, "hom-mul", (a, b))
+    return RingReport(True)
+
+
+def additive_relations_on_pairs(ring) -> list[tuple[int, ...]]:
+    """The rows [a] + [b] - [a+b] for every pair a <= b in element order,
+    without duplicates: a presentation of (S, +) on all of its elements."""
+    els = ring.elements
+    n = len(els)
+    index = {e: i for i, e in enumerate(els)}
+    rows: set[tuple[int, ...]] = set()
+    for i, a in enumerate(els):
+        for b in els[i:]:
+            row = [0] * n
+            row[i] += 1
+            row[index[b]] += 1
+            row[index[ring.plus(a, b)]] -= 1
+            rows.add(tuple(row))
+    return sorted(rows)
 
 
 # -- ring homomorphisms and epimorphism cancellation -----------------------------------

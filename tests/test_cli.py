@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loclab import corpus, fincat, lifting, modelstruct, monadkit, ringmod
+from loclab import corpus, fincat, lifting, modelstruct, monadkit, ringmod, snf
 from loclab.cli import build_parser, main
 from loclab.fincat import FinCat, NatTransData, identity_functor
 from loclab.reflect import enumerate_replete_reflective
@@ -345,6 +345,41 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "verify-model", write(tmp_path, "model", data))
         assert code == 2 and out == "" and "'fib'" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "tables", "elements": "zu", "zero": "z", "one": "u",
+          "add": ["zu", "uz"], "mul": ["zz", "zu"]}, "elements must be an array, got 'zu'"),
+        ({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
+          "add": [["z", "u", "z"], ["u", "z", "z"], ["z", "z", "z"]],
+          "mul": [["z", "z"], ["z", "u"]]}, "add must be 2 arrays of 2 entries"),
+        ({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
+          "add": [["z", "u"], ["u", "z"]], "mul": ["zz", "zu"]},
+         "mul must be 2 arrays of 2 entries"),
+        ({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
+          "add": {"z": ["z", "u"], "u": ["u", "z"]}, "mul": [["z", "z"], ["z", "u"]]},
+         "add must be 2 arrays of 2 entries"),
+        ({"kind": "product", "factors": {"a": {"kind": "zn", "n": 2}}},
+         "factors must be an array"),
+        ({"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": {"0": 1, "1": 1}},
+         "poly must be an array"),
+    ])
+    def test_ring_spec_array_fields(self, capsys, tmp_path, spec, message):
+        # each spec reads as a ring, the map as its identity
+        path = write(tmp_path, "ring", spec)
+        code, out, err = run(capsys, "ring-check", "--ring", path, "--algebra", path,
+                             "--map", write(tmp_path, "map", {"z": "z", "u": "u"}))
+        assert code == 2 and out == "" and message in err
+
+    def test_well_formed_tables_spec(self, capsys, tmp_path):
+        spec = {"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
+                "add": [["z", "u"], ["u", "z"]], "mul": [["z", "z"], ["z", "u"]]}
+        path = write(tmp_path, "ring", spec)
+        code, out, _ = run(capsys, "ring-check", "--ring", path, "--algebra", path,
+                           "--map", write(tmp_path, "map", {"z": "z", "u": "u"}))
+        assert code == 0 and out.startswith("PASS")
+        code, out, _ = run(capsys, "ring-check", "--ring", path, "--algebra", "ring_z2xz2",
+                           "--map", write(tmp_path, "map", {"z": "(0,0)", "u": "(1,1)"}))
+        assert code == 1 and out.startswith("FAIL")
+
     def test_ring_cap_checked_before_tables_are_built(self, capsys, tmp_path, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("ring tables built before the cap check")
@@ -605,6 +640,24 @@ class TestComputedOnce:
                          "--map", "hom_z2_diag_z2xz2")
         assert code == 1   # the diagonal is no localization
         assert sorted(ring.name for ring in seen) == ["Z/2", "Z/2", "Z/2"]
+
+    def test_additive_group_presented_on_generator_rows(self, capsys, tmp_path, monkeypatch):
+        shapes = []
+
+        def recorded(matrix, n_cols=None, original=snf.smith_normal_form):
+            shapes.append((len(matrix), n_cols))
+            return original(matrix, n_cols)
+
+        for module in (snf, ringmod):
+            monkeypatch.setattr(module, "smith_normal_form", recorded)
+        z16 = write(tmp_path, "z16", {"kind": "zn", "n": 16})
+        code, _, _ = run(capsys, "ring-check", "--ring", z16, "--algebra", z16,
+                         "--map", write(tmp_path, "map", {str(i): str(i) for i in range(16)}))
+        assert code == 0
+        # Z/16 is generated by 1: the rows [a] + [1] - [a+1] and [0], of which
+        # a = 0 gives [0] again, so 16 rows where all pairs a <= b gave 121;
+        # then the 1 x 1 tensor square.
+        assert shapes == [(16, 16), (1, 1)]
 
     @pytest.mark.parametrize("command, names", [
         ("bijections", {"diamond"}),

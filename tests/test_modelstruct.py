@@ -166,12 +166,12 @@ class TestFibrantReplacement:
         r = find_reflector(chain3, {"1", "2"}).reflector
         ms = localization_from_reflector(r)
         repl = fibrant_replacement_functor(ms)
-        assert repl.on_obj("2") == "2" and chain3.is_iso(repl.unit_at("2"))
+        assert repl.functor.obj_map["2"] == "2" and chain3.is_iso(repl.unit.components["2"])
 
     def test_chain2_replacement(self, chain2):
         ms = localization_from_reflector(find_reflector(chain2, {"1"}).reflector)
         repl = fibrant_replacement_functor(ms)
-        assert repl.on_obj("0") == "1" and repl.unit_at("0") == "m_0_1"
+        assert repl.functor.obj_map["0"] == "1" and repl.unit.components["0"] == "m_0_1"
 
     def test_functor_unique_fillers_and_adjunction(self, lattices):
         for name, cat in lattices.items():
@@ -210,7 +210,7 @@ class TestFibrantReplacement:
                      refl.unit.components), (name, sorted(refl.members))
                 fibrants = sorted(st.fibrants)
                 by_scan = next(((x, b) for x in cat.objects for b in [
-                    non_universal_target_by_scan(cat, fibrants, repl.unit_at(x))]
+                    non_universal_target_by_scan(cat, fibrants, repl.unit.components[x])]
                     if b is not None), ())
                 assert view.adjunction_witness == by_scan == (), name
                 structures += 1

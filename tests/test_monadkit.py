@@ -108,7 +108,7 @@ class TestDictionary:
     def test_essential_image_matches_members(self, diamond):
         for r in enumerate_replete_reflective(diamond):
             m = monad_from_reflector(r)
-            image = {m.on_obj(x) for x in diamond.objects}
+            image = {m.functor.obj_map[x] for x in diamond.objects}
             assert image == set(r.members)
 
     def test_non_idempotent_rejected(self, cats):

@@ -43,7 +43,7 @@ class TestFindReflector:
         s = find_reflector(chain2, {"1"})
         assert s.found
         assert s.reflector.functor.obj_map == {"0": "1", "1": "1"}
-        assert s.reflector.unit_at("0") == "m_0_1"
+        assert s.reflector.unit.components["0"] == "m_0_1"
 
     def test_chain2_bottom_not_reflective(self, chain2):
         s = find_reflector(chain2, {"0"})
@@ -162,11 +162,11 @@ class TestReflectorInvariants:
         for cat in (chain3, diamond):
             for r in enumerate_replete_reflective(cat):
                 for a in sorted(r.members):
-                    assert cat.is_iso(r.unit_at(a))
+                    assert cat.is_iso(r.unit.components[a])
                 for x in cat.objects:
                     # reflector-level idempotency
-                    assert cat.is_iso(r.on_mor(r.unit_at(x)))
-                    assert cat.is_iso(r.unit_at(r.on_obj(x)))
+                    assert cat.is_iso(r.functor.mor_map[r.unit.components[x]])
+                    assert cat.is_iso(r.unit.components[r.functor.obj_map[x]])
 
 
 class TestInvertedClass:

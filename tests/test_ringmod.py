@@ -1,15 +1,25 @@
+import doctest
+import random
 from itertools import product as iproduct
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loclab import corpus
-from loclab.ringmod import (AbPresentation, RingError, RingHom, additive_basis,
+from loclab import corpus, ringmod
+from loclab.ringmod import (AbPresentation, FiniteRing, RingError, RingHom, additive_basis,
                             localization_exists_verdict, mult_map_is_iso,
                             ring_from_spec, ring_polyquo, ring_product,
                             ring_zn, tensor_square, validate_ring, validate_ring_hom)
 from loclab.snf import cokernel_invariants
-from oracles import ring_homs, ring_map_is_epi_on, tensor_square_on_pairs
+from oracles import (additive_relations_on_pairs, ring_homs, ring_map_is_epi_on,
+                     tensor_square_on_pairs, validate_ring_by_triples,
+                     validate_ring_hom_by_pairs)
+
+
+def test_module_doctests():
+    result = doctest.testmod(ringmod)
+    assert result.attempted and not result.failed
 
 
 def invariant_factors(presentation: AbPresentation) -> list[int]:
@@ -261,3 +271,145 @@ class TestPresentationConventions:
     def test_trivial(self):
         assert invariant_factors(AbPresentation(1, ((1,),))) == []
         assert AbPresentation(1, ((1,),)).order() == 1
+
+
+# -- the integer tables against the triple-by-triple oracle ------------------------------
+
+# (p, degree) with p^degree <= 16, and factor lists of cyclic products of order <= 16
+POLYQUO_SHAPES = [(2, 2), (2, 3), (2, 4), (3, 2), (4, 2)]
+PRODUCT_FACTORS = [(1, 4), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 3),
+                   (3, 4), (3, 5), (4, 4), (2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 2, 2)]
+
+
+def as_tables_spec(ring, order) -> dict:
+    """`ring` as a `tables` spec, its elements renamed and listed in `order`."""
+    name = {e: f"e{i}" for i, e in enumerate(ring.elements)}
+    return {"kind": "tables", "elements": [name[e] for e in order],
+            "zero": name[ring.zero], "one": name[ring.one],
+            "add": [[name[ring.plus(a, b)] for b in order] for a in order],
+            "mul": [[name[ring.times(a, b)] for b in order] for a in order]}
+
+
+def drawn_ring(choose, kind=None) -> FiniteRing:
+    """A valid ring of at most 16 elements; `choose` picks one of a list."""
+    kind = kind or choose(["zn", "polyquo", "product", "tables"])
+    if kind == "zn":
+        return ring_zn(choose(range(1, 17)))
+    if kind == "polyquo":
+        p, degree = choose(POLYQUO_SHAPES)
+        return ring_polyquo(p, [choose(range(p)) for _ in range(degree)] + [1])
+    if kind == "product":
+        return ring_product([ring_zn(n) for n in choose(PRODUCT_FACTORS)])
+    base = drawn_ring(choose, choose(["zn", "polyquo", "product"]))
+    order = list(base.elements)
+    for i in range(len(order) - 1, 0, -1):   # Fisher-Yates with the drawn choices
+        j = choose(range(i + 1))
+        order[i], order[j] = order[j], order[i]
+    return ring_from_spec(as_tables_spec(base, order))
+
+
+def corrupted(ring, choose) -> FiniteRing:
+    """A fresh copy of `ring` with one or two table entries deleted, set to a
+    label outside the ring, or set to a drawn element (at (a, b) alone or at
+    both (a, b) and (b, a), so that the commutative laws can still hold)."""
+    add, mul = dict(ring.add), dict(ring.mul)
+    for _ in range(choose([1, 2])):
+        table = choose([add, mul])
+        a, b = choose(ring.elements), choose(ring.elements)
+        how = choose(["delete", "outside", "value", "symmetric value"])
+        if how == "delete":
+            table.pop((a, b), None)
+        elif how == "outside":
+            table[(a, b)] = "outside"
+        else:
+            table[(a, b)] = value = choose(ring.elements)
+            if how == "symmetric value":
+                table[(b, a)] = value
+    return FiniteRing(ring.name, ring.elements, add, mul, ring.zero, ring.one)
+
+
+SMALL_RINGS = [ring_zn(2), ring_zn(3), ring_zn(4), ring_product([ring_zn(2), ring_zn(2)]),
+               ring_polyquo(2, [0, 0, 1]), ring_polyquo(2, [1, 1, 1])]
+
+
+def drawn_hom(choose) -> RingHom:
+    """The identity of a drawn ring or a quotient Z/n -> Z/m with one value
+    of the map deleted, sent outside the codomain or redrawn; or a map
+    between rings of at most 4 elements keeping 0 and 1, its other values
+    drawn, which is often additive but not multiplicative."""
+    how = choose(["identity", "quotient", "drawn"])
+    if how == "drawn":
+        r, s = choose(SMALL_RINGS), choose(SMALL_RINGS)
+        mapping = {e: choose(s.elements) for e in r.elements}
+        mapping.update({r.zero: s.zero, r.one: s.one})
+        return RingHom(r, s, mapping)
+    if how == "identity":
+        r = s = drawn_ring(choose)
+        mapping = {e: e for e in r.elements}
+    else:
+        m = choose(range(1, 9))
+        r, s = ring_zn(m * choose(range(1, 16 // m + 1))), ring_zn(m)
+        mapping = {str(i): str(i % m) for i in range(r.order)}
+    a = choose(r.elements)
+    how = choose(["delete", "outside", "value"])
+    if how == "delete":
+        del mapping[a]
+    else:
+        mapping[a] = "outside" if how == "outside" else choose(s.elements)
+    return RingHom(r, s, mapping)
+
+
+class TestIntegerTables:
+    def test_seeded_corruptions_match_the_oracle(self):
+        rng = random.Random(15)
+        mismatches, laws = [], set()
+        for _ in range(600):
+            ring = corrupted(drawn_ring(rng.choice), rng.choice)
+            got, want = validate_ring(ring), validate_ring_by_triples(ring)
+            laws.add(want.law)
+            if got != want:
+                mismatches.append((ring.name, got, want))
+        assert mismatches == []
+        # every law is reached, so each row shortcut meets a failing row
+        assert {"add-associative", "mul-associative", "distributive",
+                "add-commutative", "mul-total", "add-closed", None} <= laws
+
+    def test_seeded_hom_corruptions_match_the_oracle(self):
+        rng = random.Random(15)
+        laws = set()
+        for _ in range(300):
+            phi = drawn_hom(rng.choice)
+            want = validate_ring_hom_by_pairs(phi)
+            assert validate_ring_hom(phi) == want, phi.map
+            laws.add(want.law)
+        assert laws == {"hom-total", "hom-image", "hom-zero", "hom-one", "hom-add", "hom-mul",
+                        None}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_corruptions_match_the_oracle(self, data):
+        def choose(options):
+            return data.draw(st.sampled_from(list(options)))
+
+        ring = corrupted(drawn_ring(choose), choose)
+        assert validate_ring(ring) == validate_ring_by_triples(ring)
+        phi = drawn_hom(choose)
+        assert validate_ring_hom(phi) == validate_ring_hom_by_pairs(phi)
+
+    @pytest.mark.parametrize("ring", [
+        *(ring_zn(n) for n in range(1, 17)),
+        *(ring_product([ring_zn(n) for n in factors]) for factors in PRODUCT_FACTORS),
+        *(ring_polyquo(p, list(c) + [1]) for p, degree in POLYQUO_SHAPES
+          for c in iproduct(range(p), repeat=degree)),
+        ring_from_spec(as_tables_spec(ring_zn(12), [str(i) for i in range(11, -1, -1)])),
+    ], ids=lambda ring: ring.name)
+    def test_additive_basis_against_all_pairs(self, ring):
+        orders, coords = additive_basis(ring)
+        pairs = additive_relations_on_pairs(ring)
+        assert list(orders) == cokernel_invariants(pairs, ring.order)
+        # the coordinates are an isomorphism onto Z/d_1 + ... + Z/d_k
+        assert len(set(coords.values())) == ring.order == prod(orders)
+        for a in ring.elements:
+            for b in ring.elements:
+                assert coords[ring.plus(a, b)] == tuple(
+                    (x + y) % d for x, y, d in zip(coords[a], coords[b], orders))
