@@ -654,8 +654,8 @@ class TestComputedOnce:
         code, _, _ = run(capsys, "ring-check", "--ring", z16, "--algebra", z16,
                          "--map", write(tmp_path, "map", {str(i): str(i) for i in range(16)}))
         assert code == 0
-        # Z/16 is generated by 1: the rows [a] + [1] - [a+1] and [0], of which
-        # a = 0 gives [0] again, so 16 rows where all pairs a <= b gave 121;
+        # Z/16 is generated by 1, so the rows are [0] and [a] + [1] - [a+1],
+        # where a = 0 gives [0] again: 16 rows, within n(1 + log2 n) = 80;
         # then the 1 x 1 tensor square.
         assert shapes == [(16, 16), (1, 1)]
 
