@@ -1,35 +1,39 @@
 """Finite commutative rings and the tensor-square localization criterion.
 
-Every ring axiom is decided exhaustively, row by row on an integer table.  The
-`add` and `mul` tables are read once into rows of element positions, so
-`add[a][b]` is the position of a + b.  For each pair (a, b) the associative
-and distributive laws over all c are whole-row comparisons, such as
-mul[ab] == [mul[a][x] for x in mul[b]]; only a row that differs is scanned c
-by c, so the first failing law and its witness are those of a triple-by-triple
-scan.
+Every ring axiom is decided exhaustively on an integer table, whose rows the
+constructors build directly: `add[a][b]` is the position of a + b.  The
+quadratic laws are checked row by row, and the cubic laws on the rows of G,
+the generators of (S, +) as a magma: each element, in order, outside the
++-closure of 0 and the earlier ones.  For every g in G and every a:
+
+- (a+g)+c = a+(g+c) over c: the b obeying it are closed under + (Light's test);
+- a(b+g) = ab+ag over b: then the g obeying it are closed under + as well;
+- (ab)g = a(bg) over b: both sides are additive in g and agree on G.
+
+If a generator row differs, every pair (a, b) is scanned in order, the first
+differing row c by c, so the reported law and witness are those of a
+triple-by-triple scan.
 
 The tensor square of an algebra map phi: R -> S is presented on an additive
-basis of S.  The additive group is presented on generator rows: the relations
-[a] + [g] - [a+g], for every a and for g = 0 and g in a generating set G of
-(S, +), span the same lattice as [a] + [b] - [a+b] for all pairs, since
-[a] + [b+g] - [a+b+g] = ([a] + [b] - [a+b]) + ([a+b] + [g] - [a+b+g]) -
-([b] + [g] - [b+g]), which is induction on b as a sum of generators.  Their
-Smith normal form splits the additive group as
-S = Z/d_1 g_1 + ... + Z/d_k g_k with k <= log2 |S|, so
-S (x)_Z S is the sum of the cyclic groups Z/gcd(d_i, d_j) on the k^2 pairs
-g_i (x) g_j.  The R-balancing relations phi(r) g_i (x) g_j - g_i (x) phi(r) g_j,
-written in that basis, cut it down to S (x)_R S; its order comes out of a
-certified basis of the relation lattice (`snf.echelon_basis`).  The
-multiplication map (s, t) |-> s*t is a surjective group homomorphism (it hits
-s at (s, 1)), so between finite groups it is an isomorphism exactly when the
-orders match.  That order comparison is the whole localization-existence
-verdict: a Bousfield localization of the discrete structure on the module
-category with fibrant replacement given by base change along phi exists if
-and only if the multiplication map is an isomorphism.
+basis of S.  The greedy generators g_1..g_k of (S, +), k <= log2 |S|, and the
+least m_i with m_i g_i in the span of the earlier ones give a triangular
+k x k relation matrix, whose Smith normal form splits the additive group as
+S = Z/d_1 b_1 + ... + Z/d_l b_l.  So S (x)_Z S is the sum of the cyclic
+groups Z/gcd(d_i, d_j) on the pairs b_i (x) b_j.  The R-balancing relations
+phi(r) b_i (x) b_j - b_i (x) phi(r) b_j, written in that basis, cut it down
+to S (x)_R S; its order comes out of a certified basis of the relation
+lattice (`snf.echelon_basis`).  The multiplication map (s, t) |-> s*t is a
+surjective group homomorphism (it hits s at (s, 1)), so between finite groups
+it is an isomorphism exactly when the orders match.  That order comparison is
+the whole localization-existence verdict: a Bousfield localization of the
+discrete structure on the module category with fibrant replacement given by
+base change along phi exists if and only if the multiplication map is an
+isomorphism.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd, prod
@@ -47,8 +51,8 @@ class RingError(Exception):
 class FiniteRing:
     name: str
     elements: tuple[str, ...]
-    add: dict      # (a, b) -> a + b
-    mul: dict      # (a, b) -> a * b
+    add: Mapping   # (a, b) -> a + b
+    mul: Mapping   # (a, b) -> a * b
     zero: str
     one: str
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -104,6 +108,32 @@ class RingTable:
     one: int
 
 
+class _RowView(Mapping):
+    """An operation as (a, b) -> label, read off the integer rows; no entry is stored."""
+
+    def __init__(self, elements: tuple[str, ...], index: dict[str, int], rows: list[list[int]]):
+        self._elements, self._index, self._rows = elements, index, rows
+
+    def __getitem__(self, pair):
+        return self._elements[self._rows[self._index[pair[0]]][self._index[pair[1]]]]
+
+    def __iter__(self):
+        return iproduct(self._elements, repeat=2)
+
+    def __len__(self) -> int:
+        return len(self._elements) ** 2
+
+
+def _ring_on_rows(name: str, elements: tuple[str, ...], add: list[list[int]],
+                  mul: list[list[int]], zero: int, one: int) -> FiniteRing:
+    """A ring built from its integer table, its `add` and `mul` views over the rows."""
+    index = {e: i for i, e in enumerate(elements)}
+    ring = FiniteRing(name, elements, _RowView(elements, index, add),
+                      _RowView(elements, index, mul), elements[zero], elements[one])
+    ring._memo["table"] = RingTable(index, add, mul, zero, one)
+    return ring
+
+
 def _read_table(ring: FiniteRing) -> RingTable | RingReport:
     """The integer table, or the first entry, `add` before `mul` and row by
     row, that is missing or outside the ring."""
@@ -126,13 +156,15 @@ def _read_table(ring: FiniteRing) -> RingTable | RingReport:
 
 
 def validate_ring(ring: FiniteRing) -> RingReport:
-    """Exhaustive commutative-ring axioms, decided row by row on the integer table.
+    """Exhaustive commutative-ring axioms, decided on the integer table.
 
     The laws are checked in a fixed order and the first failure is reported
     with its witness: totality and closure of `add`, then of `mul`; for each
     a, the zero, the one and an additive inverse; for each (a, b), the two
     commutative laws; for each (a, b, c), additive and multiplicative
-    associativity and distributivity.
+    associativity and distributivity.  The cubic laws are decided on the rows
+    of the additive generators, and only a ring failing one is scanned pair by
+    pair for its first failing triple (module docstring).
 
     >>> z3 = ring_zn(3)
     >>> broken = FiniteRing("Z/3, 2*2 = 2", z3.elements, z3.add,
@@ -163,6 +195,40 @@ def validate_ring(ring: FiniteRing) -> RingReport:
                 return RingReport(False, "add-commutative", (els[a], els[b]))
             if mul_a[b] != mul[b][a]:
                 return RingReport(False, "mul-commutative", (els[a], els[b]))
+    if cubic_laws_hold_on_generators(table):
+        return RingReport(True)
+    return _first_cubic_failure(table, els)
+
+
+def cubic_laws_hold_on_generators(table: RingTable) -> bool:
+    """Do both associative laws and distributivity hold, in a table that has
+    a zero, a one, inverses and both commutative laws?  Decided on 3 n |G|
+    rows, G the greedy generators of (S, +) as a magma (module docstring)."""
+    add, mul = table.add, table.mul
+    closure, generators = {table.zero}, []
+    for g in range(len(add)):
+        if g not in closure:
+            generators.append(g)
+            todo = [g]
+            while todo:   # + is commutative, so x + y for each new x and each y will do
+                x = todo.pop()
+                closure.add(x)
+                todo += {add[x][y] for y in closure} - closure
+    for g in generators:
+        add_g, mul_g = add[g], mul[g]
+        for add_a, mul_a in zip(add, mul):
+            times_a = mul_a.__getitem__
+            if add[add_a[g]] != list(map(add_a.__getitem__, add_g)) \
+               or list(map(times_a, add_g)) != list(map(add[mul_a[g]].__getitem__, mul_a)) \
+               or list(map(mul_g.__getitem__, mul_a)) != list(map(times_a, mul_g)):
+                return False   # (a+g)+c, a(b+g) or (ab)g differs over c or b
+    return True
+
+
+def _first_cubic_failure(table: RingTable, els: tuple[str, ...]) -> RingReport:
+    """The first (a, b, c) breaking additive or multiplicative associativity
+    or distributivity, in the order of a triple-by-triple scan."""
+    add, mul = table.add, table.mul
     for a, (add_a, mul_a) in enumerate(zip(add, mul)):
         plus_a, times_a = add_a.__getitem__, mul_a.__getitem__
         for b, (add_b, mul_b) in enumerate(zip(add, mul)):
@@ -195,41 +261,35 @@ def require_valid_ring(ring: FiniteRing) -> None:
 def ring_zn(n: int, name: str | None = None) -> FiniteRing:
     if n < 1:
         raise RingError("Z/n needs n >= 1")
-    els = tuple(str(i) for i in range(n))
-    return FiniteRing(
-        name or f"Z/{n}",
-        els,
-        {(els[a], els[b]): els[(a + b) % n] for a in range(n) for b in range(n)},
-        {(els[a], els[b]): els[(a * b) % n] for a in range(n) for b in range(n)},
-        "0", "1" if n > 1 else "0",
-    )
+    return _ring_on_rows(name or f"Z/{n}", tuple(map(str, range(n))),
+                         [[(a + b) % n for b in range(n)] for a in range(n)],
+                         [[a * b % n for b in range(n)] for a in range(n)], 0, 1 % n)
+
+
+def _mixed_radix(rows: list[list[int]], factor_rows: list[list[int]]) -> list[list[int]]:
+    """The componentwise table on pairs (x, y) of a table and an m-row one, (x, y) at x m + y."""
+    m = len(factor_rows)
+    return [[x * m + y for x in row for y in f_row] for row in rows for f_row in factor_rows]
 
 
 def ring_product(factors: list[FiniteRing], name: str | None = None) -> FiniteRing:
     if not factors:
         raise RingError("empty product")
-    labels = list(iproduct(*(r.elements for r in factors)))
-
-    def lab(tup):
-        return "(" + ",".join(tup) + ")"
-
-    add = {}
-    mul = {}
-    for xs in labels:
-        for ys in labels:
-            add[(lab(xs), lab(ys))] = lab(tuple(r.plus(x, y) for r, x, y in zip(factors, xs, ys)))
-            mul[(lab(xs), lab(ys))] = lab(tuple(r.times(x, y) for r, x, y in zip(factors, xs, ys)))
-    return FiniteRing(
-        name or "x".join(r.name for r in factors),
-        tuple(lab(xs) for xs in labels),
-        add, mul,
-        lab(tuple(r.zero for r in factors)),
-        lab(tuple(r.one for r in factors)),
-    )
+    add = mul = [[0]]   # the one-element ring
+    zero = one = 0
+    for r in factors:
+        table = r.table
+        add, mul = _mixed_radix(add, table.add), _mixed_radix(mul, table.mul)
+        zero, one = zero * r.order + table.zero, one * r.order + table.one
+    return _ring_on_rows(name or "x".join(r.name for r in factors),
+                         tuple("(" + ",".join(xs) + ")"
+                               for xs in iproduct(*(r.elements for r in factors))),
+                         add, mul, zero, one)
 
 
 def ring_polyquo(n: int, poly: list[int], name: str | None = None) -> FiniteRing:
-    """(Z/n)[x] modulo a monic polynomial, elements as coefficient tuples."""
+    """(Z/n)[x] modulo a monic polynomial, elements as coefficient tuples
+    (c_0, ..., c_{deg-1}) at position sum c_i n^(deg-1-i)."""
     if n < 1:
         raise RingError("(Z/n)[x] needs n >= 1")
     if not poly or poly[-1] % n != 1:
@@ -251,35 +311,24 @@ def ring_polyquo(n: int, poly: list[int], name: str | None = None) -> FiniteRing
                 terms.append(xpow if c == 1 else f"{c}{xpow}")
         return "+".join(terms) if terms else "0"
 
-    def reduce_poly(coeffs):
-        coeffs = [c % n for c in coeffs]
-        while len(coeffs) > deg:
-            top = coeffs.pop()
-            for i, r in enumerate(reduction):
-                coeffs[len(coeffs) - deg + i] = (coeffs[len(coeffs) - deg + i] + top * r) % n
-        while len(coeffs) < deg:
-            coeffs.append(0)
-        return tuple(coeffs)
-
-    carriers = [tuple(c) for c in iproduct(range(n), repeat=deg)]
-    add = {}
-    mul = {}
-    for xs in carriers:
-        for ys in carriers:
-            s = tuple((a + b) % n for a, b in zip(xs, ys))
-            prod = [0] * (2 * deg - 1)
-            for i, a in enumerate(xs):
-                for j, b in enumerate(ys):
-                    prod[i + j] += a * b
-            add[(label(xs), label(ys))] = label(s)
-            mul[(label(xs), label(ys))] = label(reduce_poly(prod))
-    return FiniteRing(
+    carriers = list(iproduct(range(n), repeat=deg))
+    position = {c: i for i, c in enumerate(carriers)}
+    add = [[0]]
+    for _ in range(deg):
+        add = _mixed_radix(add, [[(a + b) % n for b in range(n)] for a in range(n)])
+    times_x = [position[tuple((c[-1] * r + s) % n for r, s in zip(reduction, (0,) + c[:-1]))]
+               for c in carriers]
+    monomials = [list(range(len(carriers)))]   # row j: b |-> x^j b
+    for _ in range(deg - 1):
+        monomials.append([times_x[b] for b in monomials[-1]])
+    mul = [[0] * len(carriers)]
+    for c in carriers[1:]:   # a b = (a - x^j) b + x^j b, for the last j with c_j != 0
+        j = max(i for i, x in enumerate(c) if x)
+        lower = mul[len(mul) - n ** (deg - 1 - j)]
+        mul.append([add[u][v] for u, v in zip(lower, monomials[j])])
+    return _ring_on_rows(
         name or f"(Z/{n})[x]/({label(tuple(poly[:-1]))}+{'x' if deg == 1 else f'x^{deg}'})",
-        tuple(label(xs) for xs in carriers),
-        add, mul,
-        label((0,) * deg),
-        label((1,) + (0,) * (deg - 1)),
-    )
+        tuple(map(label, carriers)), add, mul, 0, position[(1,) + (0,) * (deg - 1)])
 
 
 def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteRing:
@@ -298,16 +347,10 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             raise RingError(f"{spec.get('name', kind)}: {order} elements exceeds the cap "
                             f"of {max_size}")
 
-    def integer(value, field: str) -> int:
-        if type(value) is not int:   # refuse floats, strings, bools
-            raise RingError(f"malformed {kind!r} ring spec: {field} must be an integer, "
-                            f"got {value!r}")
-        return value
-
-    def array(value, field: str) -> list:
-        if type(value) is not list:
-            raise RingError(f"malformed {kind!r} ring spec: {field} must be an array, "
-                            f"got {value!r}")
+    def typed(value, cls: type, field: str):
+        if type(value) is not cls:   # so an integer is no float, string or bool
+            noun = {int: "an integer", list: "an array", str: "a string"}[cls]
+            raise RingError(f"malformed {kind!r} ring spec: {field} must be {noun}, got {value!r}")
         return value
 
     def square(rows, els: list[str], field: str) -> dict:
@@ -316,15 +359,17 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
            any(type(row) is not list or len(row) != n for row in rows):
             raise RingError(f"malformed {kind!r} ring spec: {field} must be {n} arrays "
                             f"of {n} entries")
-        return {(a, b): str(v) for a, row in zip(els, rows) for b, v in zip(els, row)}
+        return {(els[i], els[j]): typed(v, str, f"{field}[{i}][{j}]")
+                for i, row in enumerate(rows) for j, v in enumerate(row)}
 
     try:
         if kind == "zn":
-            n = integer(spec["n"], "n")
+            n = typed(spec["n"], int, "n")
             capped(n)
             ring = ring_zn(n, spec.get("name"))
         elif kind == "product":
-            factors = [ring_from_spec(s, max_size) for s in array(spec["factors"], "factors")]
+            factors = [ring_from_spec(s, max_size)
+                       for s in typed(spec["factors"], list, "factors")]
             capped(prod(r.order for r in factors))
             ring = ring_product(factors, spec.get("name"))
             # Both tables are built componentwise, so each law holds in the
@@ -334,16 +379,18 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             base = spec["base"]
             if not isinstance(base, dict) or base.get("kind") != "zn":
                 raise RingError("polyquo base must be a zn spec")
-            n = integer(base["n"], "base n")
-            poly = [integer(c, f"poly[{i}]") for i, c in enumerate(array(spec["poly"], "poly"))]
+            n = typed(base["n"], int, "base n")
+            poly = [typed(c, int, f"poly[{i}]")
+                    for i, c in enumerate(typed(spec["poly"], list, "poly"))]
             capped(n ** (len(poly) - 1))
             ring = ring_polyquo(n, poly, spec.get("name"))
         elif kind == "tables":
-            els = [str(e) for e in array(spec["elements"], "elements")]
+            els = typed(spec["elements"], list, "elements")
             capped(len(els))
+            els = [typed(e, str, f"elements[{i}]") for i, e in enumerate(els)]
             ring = FiniteRing(str(spec.get("name", "tables")), tuple(els),
                               square(spec["add"], els, "add"), square(spec["mul"], els, "mul"),
-                              str(spec["zero"]), str(spec["one"]))
+                              typed(spec["zero"], str, "zero"), typed(spec["one"], str, "one"))
         else:
             raise RingError(f"unknown ring spec kind {kind!r}")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -425,46 +472,54 @@ class TensorSquare:
 
 
 def additive_basis(ring: FiniteRing) -> tuple[tuple[int, ...], dict[str, tuple[int, ...]]]:
-    """The additive group of the ring as Z/d_1 + ... + Z/d_k, each d_i > 1.
+    """The additive group of the ring as Z/d_1 + ... + Z/d_l, each d_i > 1.
 
-    It is the free abelian group on the elements modulo the generator rows
-    [a] + [g] - [a+g], for every a and for g = 0 and g in G, where G is
-    chosen greedily in element order, each g outside the subgroup the earlier
-    ones generate (so |G| <= log2 n).  They span the relations [a] + [b] -
-    [a+b] of all pairs (module docstring), and the order of the cokernel is
-    checked to be n.  The Smith normal form U A V = D of the rows gives the
-    d_i as the non-unit diagonal entries, and the coordinates of element e as
-    row e of V, each taken mod its d_i.  Returns the d_i and the coordinates.
+    Greedy generators g_1..g_k (k <= log2 n), each outside H_{i-1}, the
+    subgroup the earlier ones span, and the least m_i with m_i g_i in H_{i-1},
+    at coordinates r_i there, give the triangular k x k relation matrix R with
+    rows m_i e_i - r_i.  It presents (S, +): each row, added up in the table,
+    is 0; the n vectors c with 0 <= c_i < m_i reach n distinct elements; and
+    the self-checked Smith normal form U R V = D has cokernel order n.  The
+    d_i are its non-unit diagonal entries, and the element with coefficients
+    c has coordinates c V, each taken mod its d_i.
+
+    >>> additive_basis(ring_product([ring_zn(2), ring_zn(4)]))[0]
+    (2, 4)
     """
-    els = ring.elements
-    n = len(els)
     table = ring.table
-    add = table.add
-    generators = [table.zero]
-    span = {table.zero}
+    add, n = table.add, ring.order
+    span = {table.zero: ()}   # H_i: element -> coefficients c, 0 <= c_j < m_j
+    generators, relations = [], []
     for g in range(n):
-        if g not in span:
-            generators.append(g)
-            cosets, x = set(span), g
-            while x not in span:
-                cosets.update(add[h][x] for h in span)
+        if g in span:
+            continue
+        multiples = [table.zero, g]   # j g
+        while multiples[-1] not in span:
+            multiples.append(add[multiples[-1]][g])
+        m = len(multiples) - 1
+        generators.append(g)
+        relations.append([-c for c in span[multiples[m]]] + [m])
+        span = {add[h][x]: c + (j,) for h, c in span.items() for j, x in enumerate(multiples[:m])}
+
+    def total(coefficients) -> int:   # the sum of c_j g_j, each c_j >= 0, in the table
+        x = table.zero
+        for c, g in zip(coefficients, generators):
+            for _ in range(c):
                 x = add[x][g]
-            span = cosets
-    rows: set[tuple[int, ...]] = set()
-    for g in generators:
-        for a, add_a in enumerate(add):
-            row = [0] * n
-            row[a] += 1
-            row[g] += 1
-            row[add_a[g]] -= 1
-            rows.add(tuple(row))
-    snf = smith_normal_form(sorted(rows), n_cols=n)
-    order = snf.cokernel_order()
-    if order != n:
-        raise RingError(f"{ring.name}: additive presentation has order {order}, not {n}")
+        return x
+
+    k = len(relations)
+    snf = smith_normal_form([row + [0] * (k - len(row)) for row in relations], n_cols=k)
+    if any(total([max(c, 0) for c in row]) != total([max(-c, 0) for c in row])
+           for row in relations) or prod(row[-1] for row in relations) != len(span) \
+       or snf.cokernel_order() != n:
+        raise RingError(f"{ring.name}: the additive presentation on {k} generators "
+                        f"fails its check")
     kept = [i for i, d in enumerate(snf.diagonal) if d != 1]
     orders = tuple(snf.diagonal[i] for i in kept)
-    coords = {e: tuple(snf.v[table.index[e]][i] % snf.diagonal[i] for i in kept) for e in els}
+    columns = [[row[i] for row in snf.v] for i in kept]
+    coords = {e: tuple(sum(x * y for x, y in zip(span[a], col)) % d
+                       for col, d in zip(columns, orders)) for a, e in enumerate(ring.elements)}
     return orders, coords
 
 

@@ -10,7 +10,7 @@ instead of the per-category tables the model and monad certificates filter,
 per-target factorization counts instead of memoized universal rows), so
 agreement is meaningful.  The ring and ring-map axioms are re-decided triple by
 triple on the string tables, and the additive group is presented on all pairs
-instead of generator rows.  Monomorphisms, epimorphisms and ring homomorphisms
+instead of a triangular matrix on greedy generators.  Monomorphisms, epimorphisms and ring homomorphisms
 are decided only here, by exhaustive cancellation and backtracking searches;
 no command needs them, and the tests use them as reference checks.
 """

@@ -369,6 +369,19 @@ class TestMalformedInputs:
                              "--map", write(tmp_path, "map", {"z": "z", "u": "u"}))
         assert code == 2 and out == "" and message in err
 
+    @pytest.mark.parametrize("change, message", [
+        ({"elements": [None, "1"], "zero": "None"}, "elements[0] must be a string, got None"),
+        ({"zero": 0}, "zero must be a string, got 0"),
+        ({"add": [["0", "1"], ["1", 0]]}, "add[1][1] must be a string, got 0"),
+    ])
+    def test_tables_spec_ids_are_strings(self, capsys, tmp_path, change, message):
+        spec = {"kind": "tables", "elements": ["0", "1"], "zero": "0", "one": "1",
+                "add": [["0", "1"], ["1", "0"]], "mul": [["0", "0"], ["0", "1"]], **change}
+        code, out, err = run(capsys, "ring-check", "--ring", write(tmp_path, "ring", spec),
+                             "--algebra", "ring_z2",
+                             "--map", write(tmp_path, "map", {"None": "0", "0": "0", "1": "1"}))
+        assert code == 2 and out == "" and message in err
+
     def test_well_formed_tables_spec(self, capsys, tmp_path):
         spec = {"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
                 "add": [["z", "u"], ["u", "z"]], "mul": [["z", "z"], ["z", "u"]]}
@@ -641,7 +654,7 @@ class TestComputedOnce:
         assert code == 1   # the diagonal is no localization
         assert sorted(ring.name for ring in seen) == ["Z/2", "Z/2", "Z/2"]
 
-    def test_additive_group_presented_on_generator_rows(self, capsys, tmp_path, monkeypatch):
+    def test_additive_group_presented_on_k_generators(self, capsys, tmp_path, monkeypatch):
         shapes = []
 
         def recorded(matrix, n_cols=None, original=snf.smith_normal_form):
@@ -654,10 +667,33 @@ class TestComputedOnce:
         code, _, _ = run(capsys, "ring-check", "--ring", z16, "--algebra", z16,
                          "--map", write(tmp_path, "map", {str(i): str(i) for i in range(16)}))
         assert code == 0
-        # Z/16 is generated by 1, so the rows are [0] and [a] + [1] - [a+1],
-        # where a = 0 gives [0] again: 16 rows, within n(1 + log2 n) = 80;
-        # then the 1 x 1 tensor square.
-        assert shapes == [(16, 16), (1, 1)]
+        # Z/16 is generated by 1 with 16 * 1 = 0, so (S, +) is presented by the
+        # 1 x 1 matrix [16]; then the 1 x 1 tensor square.
+        assert shapes == [(1, 1), (1, 1)]
+
+    def test_only_a_broken_ring_scans_every_pair(self, capsys, monkeypatch):
+        scans = []
+
+        def counted(table, els, original=ringmod._first_cubic_failure):
+            scans.append(els)
+            return original(table, els)
+
+        monkeypatch.setattr(ringmod, "_first_cubic_failure", counted)
+        for ring, algebra, mapping, expected in (
+                ("ring_z4", "ring_z2", "hom_z4_to_z2", 0),
+                ("ring_z6", "ring_z2", "hom_z6_to_z2", 0),
+                ("ring_z2", "ring_z2_dual", "hom_z2_to_z2_dual", 1),
+                ("ring_z2", "ring_z2xz2", "hom_z2_diag_z2xz2", 1),
+                ("ring_z4", "ring_z4", "hom_z4_id", 0)):
+            code, _, _ = run(capsys, "ring-check", "--ring", ring, "--algebra", algebra,
+                             "--map", mapping)
+            assert (code, scans) == (expected, []), mapping
+        # the broken Z/3 of the `validate_ring` doctest
+        z3 = ringmod.ring_zn(3)
+        broken = ringmod.FiniteRing("Z/3, 2*2 = 2", z3.elements, z3.add,
+                                    {**z3.mul, ("2", "2"): "2"}, "0", "1")
+        assert ringmod.validate_ring(broken).law == "distributive"
+        assert len(scans) == 1
 
     @pytest.mark.parametrize("command, names", [
         ("bijections", {"diamond"}),

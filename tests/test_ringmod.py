@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loclab import corpus, ringmod
-from loclab.ringmod import (AbPresentation, FiniteRing, RingError, RingHom, additive_basis,
-                            localization_exists_verdict, mult_map_is_iso,
-                            ring_from_spec, ring_polyquo, ring_product,
-                            ring_zn, tensor_square, validate_ring, validate_ring_hom)
+from loclab.ringmod import (AbPresentation, FiniteRing, RingError, RingHom, RingReport,
+                            additive_basis, cubic_laws_hold_on_generators,
+                            localization_exists_verdict, mult_map_is_iso, ring_from_spec,
+                            ring_polyquo, ring_product, ring_zn, tensor_square, validate_ring,
+                            validate_ring_hom)
 from loclab.snf import cokernel_invariants
 from oracles import (additive_relations_on_pairs, ring_homs, ring_map_is_epi_on,
                      tensor_square_on_pairs, validate_ring_by_triples,
@@ -359,20 +360,70 @@ def drawn_hom(choose) -> RingHom:
     return RingHom(r, s, mapping)
 
 
+CUBIC_LAWS = {"add-associative", "mul-associative", "distributive"}
+Z16 = ring_zn(16)
+
+
+def bilinear_on_f2_cube() -> FiniteRing:
+    """(Z/2)^3 on the basis 1, x, y (bits 1, 2, 4) with xx = y, xy = 1 and yy = 0:
+    unital, commutative and bilinear, but not associative."""
+    basis = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 2): 4, (2, 4): 1, (4, 4): 0}
+
+    def times(a, b):
+        out = 0
+        for i, j in iproduct((1, 2, 4), repeat=2):
+            if a & i and b & j:
+                out ^= basis[min(i, j), max(i, j)]
+        return out
+
+    pairs = list(iproduct(range(8), repeat=2))
+    return FiniteRing("xx = y, xy = 1", tuple(map(str, range(8))),
+                      {(str(a), str(b)): str(a ^ b) for a, b in pairs},
+                      {(str(a), str(b)): str(times(a, b)) for a, b in pairs}, "0", "1")
+
+
+def generator_check_agrees(ring, want) -> bool | None:
+    """Whether `cubic_laws_hold_on_generators` says the ring is a ring exactly
+    when the oracle's report `want` does; None when the oracle reports a
+    quadratic law, where the generator check does not apply."""
+    if want.ok or want.law in CUBIC_LAWS:
+        return cubic_laws_hold_on_generators(ring.table) == want.ok
+    return None
+
+
 class TestIntegerTables:
     def test_seeded_corruptions_match_the_oracle(self):
         rng = random.Random(15)
-        mismatches, laws = [], set()
+        mismatches, laws, decided = [], set(), []
         for _ in range(600):
             ring = corrupted(drawn_ring(rng.choice), rng.choice)
             got, want = validate_ring(ring), validate_ring_by_triples(ring)
             laws.add(want.law)
             if got != want:
                 mismatches.append((ring.name, got, want))
+            agrees = generator_check_agrees(ring, want)
+            if agrees is not None:
+                decided.append((agrees, want.ok))
         assert mismatches == []
         # every law is reached, so each row shortcut meets a failing row
         assert {"add-associative", "mul-associative", "distributive",
                 "add-commutative", "mul-total", "add-closed", None} <= laws
+        # the generator rows decide the cubic laws on rings that pass and rings that fail
+        assert all(agrees for agrees, _ in decided)
+        assert {ok for _, ok in decided} == {True, False}
+
+    @pytest.mark.parametrize("ring, witness", [
+        # 5 * 7 = 7 * 5 = 0 keeps both commutative laws; (2 * 5) * 7 = 6, 2 * (5 * 7) = 0
+        (FiniteRing("Z/16, 5*7 = 0", Z16.elements, Z16.add,
+                    {**Z16.mul, ("5", "7"): "0", ("7", "5"): "0"}, "0", "1"), ("2", "5", "7")),
+        # distributive, but (xx)y = 0 and x(xy) = x; the rows of 1, the first generator,
+        # all agree, and those of x do not
+        (bilinear_on_f2_cube(), ("2", "2", "4")),
+    ], ids=["Z/16 with 5*7 = 0", "bilinear on (Z/2)^3"])
+    def test_commutative_tables_failing_a_cubic_law(self, ring, witness):
+        want = RingReport(False, "mul-associative", witness)
+        assert validate_ring_by_triples(ring) == want == validate_ring(ring)
+        assert not cubic_laws_hold_on_generators(ring.table)
 
     def test_seeded_hom_corruptions_match_the_oracle(self):
         rng = random.Random(15)
@@ -392,7 +443,9 @@ class TestIntegerTables:
             return data.draw(st.sampled_from(list(options)))
 
         ring = corrupted(drawn_ring(choose), choose)
-        assert validate_ring(ring) == validate_ring_by_triples(ring)
+        want = validate_ring_by_triples(ring)
+        assert validate_ring(ring) == want
+        assert generator_check_agrees(ring, want) in (True, None)
         phi = drawn_hom(choose)
         assert validate_ring_hom(phi) == validate_ring_hom_by_pairs(phi)
 
@@ -402,6 +455,9 @@ class TestIntegerTables:
         *(ring_polyquo(p, list(c) + [1]) for p, degree in POLYQUO_SHAPES
           for c in iproduct(range(p), repeat=degree)),
         ring_from_spec(as_tables_spec(ring_zn(12), [str(i) for i in range(11, -1, -1)])),
+        # 3 generates {0, 3, 6}, then 3 * 1 = 3 is the relation 3 e_2 - e_1
+        ring_from_spec({**as_tables_spec(ring_zn(9), ["3", "0", "1", "2", "4", "5", "6", "7", "8"]),
+                        "name": "Z/9 from 3"}),
     ], ids=lambda ring: ring.name)
     def test_additive_basis_against_all_pairs(self, ring):
         orders, coords = additive_basis(ring)
