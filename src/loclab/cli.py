@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from . import corpus
-from .fincat import (CategoryError, FinCat, FunctorData, NatTransData,
-                     compose_functors, identity_functor, is_finitely_bicomplete,
-                     limit_search, validation_report)
+from .fincat import (CategoryError, FinCat, FunctorData, NatTransData, identity_functor,
+                     is_finitely_bicomplete, limit_search, validation_report)
 from .ktheory import k0_group, k0_presentation, waldhausen_from_fincat, waldhausen_truncated
 from .lifting import MorphismClass, is_finitely_well_complete
 from .modelstruct import (ModelStructure, bijection_suite, colocalizations_via_op,
@@ -271,7 +270,7 @@ def _monad_from_file(data: dict, args=DEFAULT_ARGS) -> MonadData:
                                     "not a morphism id")
     functor = FunctorData(cat, cat, t_obj, t_mor)
     return MonadData(functor, NatTransData(identity_functor(cat), functor, unit),
-                     NatTransData(compose_functors(functor, functor), functor, mult))
+                     NatTransData(functor.squared, functor, mult))
 
 
 def cmd_monads(args) -> Outcome:

@@ -14,9 +14,13 @@ that instance's memo: its canonical key and hash, validation report, isos and
 iso classes, opposite, (co)limit hypotheses, every limit search, keyed by
 (shape, *args), every extension set, the lifting and retract row of each
 morphism, the universal row of each morphism (and each object's maps out with
-their rows), the factorizations of each morphism, the cylinder and path
-candidates of each parallel pair, and where each naturality square is first
-decided.  Colimits are limits in the opposite, so they sit in its memo.
+their rows as bitmasks), the factorizations of each morphism, the cylinder and
+path candidates of each parallel pair, a generating set of morphisms with its
+composable pairs, the identity functor's maps, the fillers of each (members,
+unit) and the certificate of each reflector, and where each naturality square
+at a generator is first decided.  Colimits are limits in the opposite, so they
+sit in its memo.  No memo value refers back to its category, so no memo keeps
+its category alive in a reference cycle.
 """
 
 from __future__ import annotations
@@ -174,14 +178,16 @@ class FinCat:
                 raise CategoryError(f"malformed category file: {key!r} must be a JSON "
                                     f"{'array' if kind is list else 'object'}")
         try:
-            objects = [str(o) for o in data["objects"]]
-            raw_mors = [(str(m["id"]), str(m["src"]), str(m["dst"]))
-                        for m in data.get("morphisms", [])]
-            raw_comp = {(str(r["g"]), str(r["f"])): str(r["gf"])
-                        for r in data.get("compose", [])}
+            objects = [_string(o, f"objects[{i}]") for i, o in enumerate(data["objects"])]
+            raw_mors = [tuple(_string(m[k], f"morphisms[{i}].{k}") for k in ("id", "src", "dst"))
+                        for i, m in enumerate(data.get("morphisms", []))]
+            raw_comp = {(_string(r["g"], f"compose[{i}].g"), _string(r["f"], f"compose[{i}].f")):
+                        _string(r["gf"], f"compose[{i}].gf")
+                        for i, r in enumerate(data.get("compose", []))}
         except (KeyError, TypeError) as exc:
             raise CategoryError(f"malformed category file: {exc}") from exc
-        identity = {str(o): str(m) for o, m in data.get("identity", {}).items()}
+        identity = {_string(o, "identity key"): _string(m, f"identity[{o!r}]")
+                    for o, m in data.get("identity", {}).items()}
 
         mor_ids = {m for (m, _, _) in raw_mors}
         for obj in objects:
@@ -201,7 +207,15 @@ class FinCat:
                 raw_comp.setdefault((m, identity[src[m]]), m)
             if dst[m] in identity:
                 raw_comp.setdefault((identity[dst[m]], m), m)
-        return cls(objects, raw_mors, identity, raw_comp, name=str(data.get("name", "")))
+        return cls(objects, raw_mors, identity, raw_comp,
+                   name=_string(data["name"], "name") if "name" in data else "")
+
+
+def _string(value, field: str) -> str:
+    if type(value) is not str:   # so no id is read from null or 0
+        raise CategoryError(f"malformed category file: {field} must be a JSON string, "
+                            f"got {value!r}")
+    return value
 
 
 # -- validation ---------------------------------------------------------------
@@ -501,6 +515,44 @@ def opposite(cat: FinCat) -> FinCat:
 # -- functors, natural transformations, full subcategories -------------------------
 
 
+def generators(cat: FinCat) -> tuple[str, ...]:
+    """A generating set G, computed once per category: the indecomposable
+    non-identity maps (a poset's covering maps), then, in morphism order, each
+    map that the earlier ones do not reach.  The closure of the identities
+    under g . - for g in G, which reaches every morphism, is its certificate."""
+    return cat._memoized("generators", _generators)
+
+
+def _generators(cat: FinCat) -> tuple[str, ...]:
+    ids = set(cat.identity.values())
+    composites = {h for (g, f), h in cat.compose.items() if g not in ids and f not in ids}
+    gens, reached = [], set(ids)
+    for m in sorted(cat.morphisms, key=lambda m: m in composites):   # a stable sort
+        if m in reached:
+            continue
+        gens.append(m)
+        words = list(reached)
+        while words:
+            w = words.pop()
+            for g in gens:
+                h = cat.compose.get((g, w))
+                if h is not None and h not in reached:
+                    reached.add(h)
+                    words.append(h)
+    return tuple(sorted(gens))   # morphism ids are sorted
+
+
+def _generator_pairs(cat: FinCat) -> tuple:
+    """Each (g, f, g . f) with g in G and f a non-identity map into src(g)."""
+    ids = set(cat.identity.values())
+    return tuple((g, f, cat.compose[g, f]) for g in generators(cat) for f in cat.morphisms
+                 if f not in ids and cat.dst[f] == cat.src[g])
+
+
+def _lawful(*cats: FinCat) -> bool:
+    return all(validation_report(cat).ok for cat in cats)
+
+
 @dataclass(frozen=True)
 class FunctorData:
     source: FinCat
@@ -510,43 +562,64 @@ class FunctorData:
 
     @cached_property   # the maps are never mutated, so the verdict is decided once
     def violations(self) -> tuple[Violation, ...]:
-        """Exhaustively verify totality, endpoints, identities, composition."""
-        out = []
-        targets = set(self.target.objects)
-        for x in self.source.objects:
-            if x not in self.obj_map:
+        """Totality, endpoints and identities everywhere; composition on the
+        pairs (g, f) with g in `generators(source)` once both categories are
+        valid, and on every pair when any check fails.  By induction on the
+        length of a word h in G, the generator pairs give F(h.f) = F(h).F(f)."""
+        source, target, obj, mor = self.source, self.target, self.obj_map, self.mor_map
+        out, targets = [], set(target.objects)
+        for x in source.objects:
+            if x not in obj:
                 out.append(Violation("functor-obj-total", (x,)))
-            elif self.obj_map[x] not in targets:
-                out.append(Violation("functor-obj-target", (x, self.obj_map[x])))
-        for f in self.source.morphisms:
-            if f not in self.mor_map:
+            elif obj[x] not in targets:
+                out.append(Violation("functor-obj-target", (x, obj[x])))
+        tsrc, tdst = target.src, target.dst
+        for f in source.morphisms:
+            if f not in mor:
                 out.append(Violation("functor-mor-total", (f,)))
                 continue
-            ff = self.mor_map[f]
-            if not self.target.has_morphism(ff):
+            ff = mor[f]
+            if ff not in tsrc:
                 out.append(Violation("functor-mor-target", (f, ff)))
                 continue
-            if self.target.src[ff] != self.obj_map.get(self.source.src[f]) or \
-               self.target.dst[ff] != self.obj_map.get(self.source.dst[f]):
+            if tsrc[ff] != obj.get(source.src[f]) or tdst[ff] != obj.get(source.dst[f]):
                 out.append(Violation("functor-endpoints", (f, ff)))
         if out:
             return tuple(out)
-        for x in self.source.objects:
-            if self.mor_map[self.source.id_of(x)] != self.target.id_of(self.obj_map[x]):
-                out.append(Violation("functor-identity", (x,)))
-        for (g, f), h in self.source.canonical()[3]:
-            got = self.target.comp(self.mor_map[g], self.mor_map[f])
-            if got != self.mor_map[h]:
+        out = [Violation("functor-identity", (x,)) for x in source.objects
+               if mor[source.id_of(x)] != target.id_of(obj[x])]
+        comp, table = target.comp, target.compose   # the table is total once target is valid
+        if not out and _lawful(source, target) and all(
+                table[mor[g], mor[f]] == mor[h]
+                for g, f, h in source._memoized("generator-pairs", _generator_pairs)):
+            return ()
+        for (g, f), h in source.canonical()[3]:
+            got = comp(mor[g], mor[f])
+            if got != mor[h]:
                 out.append(Violation("functor-composition", (g, f), f"F(g.f) != F(g).F(f) ({got})"))
         return tuple(out)
 
     def is_valid(self) -> bool:
         return not self.violations
 
+    @cached_property
+    def squared(self) -> "FunctorData":
+        """self . self, once per endofunctor; a composite of functors is one."""
+        composite = compose_functors(self, self)
+        if self.is_valid():
+            composite.__dict__["violations"] = ()
+        return composite
+
 
 def identity_functor(cat: FinCat) -> FunctorData:
-    return FunctorData(cat, cat, {x: x for x in cat.objects},
-                       {m: m for m in cat.morphisms})
+    """The identity functor, on maps built once per category.  On a valid
+    category its laws are the unit laws that validation checked, so its
+    verdict is recorded instead of walked."""
+    functor = FunctorData(cat, cat, *cat._memoized("identity-maps", lambda c: (
+        {x: x for x in c.objects}, {m: m for m in c.morphisms})))
+    if _lawful(cat):
+        functor.__dict__["violations"] = ()
+    return functor
 
 
 def compose_functors(first: FunctorData, second: FunctorData) -> FunctorData:
@@ -568,24 +641,33 @@ class NatTransData:
 
     @cached_property   # the components are never mutated, so the verdict is decided once
     def violations(self) -> tuple[Violation, ...]:
+        """Totality and endpoints everywhere; naturality at the generators once
+        both functors are valid between valid categories, and at every map
+        when a square fails: squares at g and h paste to one at g.h."""
         out = []
         if self.source.source != self.target.source or self.source.target != self.target.target:
             return (Violation("nat-shape", (), "source/target functors not parallel"),)
-        cat, tgt = self.source.source, self.source.target
+        cat, tgt, comps = self.source.source, self.source.target, self.components
+        sobj, tobj, tsrc, tdst = self.source.obj_map, self.target.obj_map, tgt.src, tgt.dst
         for x in cat.objects:
-            c = self.components.get(x)
+            c = comps.get(x)
             if c is None:
                 out.append(Violation("nat-total", (x,)))
                 continue
-            if not tgt.has_morphism(c) or tgt.src[c] != self.source.obj_map[x] \
-               or tgt.dst[c] != self.target.obj_map[x]:
+            if c not in tsrc or tsrc[c] != sobj[x] or tdst[c] != tobj[x]:
                 out.append(Violation("nat-component", (x, c)))
         if out:
             return tuple(out)
-        comps, smor, tmor = self.components, self.source.mor_map, self.target.mor_map
+        comp, smor, tmor = tgt.comp, self.source.mor_map, self.target.mor_map
+        src, dst = cat.src, cat.dst
+        table = tgt.compose   # total, once tgt is valid
+        if _lawful(cat, tgt) and self.source.is_valid() and self.target.is_valid() and all(
+                table[comps[dst[f]], smor[f]] == table[tmor[f], comps[src[f]]]
+                for f in generators(cat)):
+            return ()
         for f in cat.morphisms:
-            lhs = tgt.comp(comps[cat.dst[f]], smor[f])
-            rhs = tgt.comp(tmor[f], comps[cat.src[f]])
+            lhs = comp(comps[dst[f]], smor[f])
+            rhs = comp(tmor[f], comps[src[f]])
             if lhs != rhs:
                 out.append(Violation("naturality", (f,), f"{lhs} != {rhs}"))
         return tuple(out)

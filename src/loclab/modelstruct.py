@@ -151,7 +151,8 @@ def fibrant_replacement_functor(ms: ModelStructure) -> Reflector:
     (object, hom) order, and each map goes to its unique filler.  Raises
     CategoryError when some x has no replacement or some filler is not unique;
     `certify_reflector` then decides whether it is left adjoint to the
-    inclusion."""
+    inclusion.  When the structure's own reflector has these members and this
+    unit, it is the replacement."""
     cat = ms.base
     fibrants = ms.fibrants
     acyclic_cof = ms.acyclic_cofibrations()
@@ -160,7 +161,15 @@ def fibrant_replacement_functor(ms: ModelStructure) -> Reflector:
         unit[x] = next((i for p in fibrants for i in cat.hom(x, p) if i in acyclic_cof), None)
         if unit[x] is None:
             raise CategoryError(f"no fibrant replacement found for {x!r}")
-    return reflector_from_unit(cat, fibrants, unit)
+    return _own_reflector(ms, frozenset(fibrants), unit) or \
+        reflector_from_unit(cat, fibrants, unit)
+
+
+def _own_reflector(ms: ModelStructure, members: frozenset, unit: dict) -> Reflector | None:
+    """`ms.reflector` if it has these members and unit; it was certified, so
+    its maps are the unit's fillers."""
+    own = ms.reflector
+    return own if own and own.members == members and own.unit.components == unit else None
 
 
 # -- homotopy relations -----------------------------------------------------------------
@@ -176,21 +185,31 @@ class HomotopyReport:
 
 def homotopy_relations(ms: ModelStructure, f: str, g: str) -> HomotopyReport:
     """Decide left/right homotopy of a parallel pair by searching all cylinder
-    and path factorizations inside the category itself; the candidates are
-    listed once per category and (f, g), and tested here for class membership."""
+    and path factorizations inside the category itself."""
     cat = ms.base
     cat.require_morphism(f)
     cat.require_morphism(g)
     if not cat.parallel(f, g):
         raise CategoryError(f"{f!r} and {g!r} are not parallel")
     a, b = cat.src[f], cat.dst[f]
-    cylinders = cat._memoized(("cylinders", f, g), lambda c: _cylinders(c, f, g))
-    paths = cat._memoized(("paths", f, g), lambda c: _paths(c, f, g))
+    left, right = _homotopic(ms, f, g)
     return HomotopyReport(
-        None if cylinders is None else any(i in ms.cof and j in ms.we for i, j in cylinders),
-        None if paths is None else any(w in ms.we and p in ms.fib for w, p in paths),
-        "" if cylinders is not None else f"binary coproduct of ({a}, {a}) does not exist",
-        "" if paths is not None else f"binary product of ({b}, {b}) does not exist")
+        left, right,
+        "" if left is not None else f"binary coproduct of ({a}, {a}) does not exist",
+        "" if right is not None else f"binary product of ({b}, {b}) does not exist")
+
+
+def _homotopic(ms: ModelStructure, f: str, g: str) -> tuple[bool | None, bool | None]:
+    """Whether some cylinder (i, j) has i in cof and j in we, and some path (w, p)
+    has w in we and p in fib, None where the (co)product is missing; the
+    candidates are listed once per category and parallel pair (f, g)."""
+    memo, key = ms.base._memo, ("homotopy-candidates", f, g)
+    if key not in memo:
+        memo[key] = (_cylinders(ms.base, f, g), _paths(ms.base, f, g))
+    cylinders, paths = memo[key]
+    cof, we, fib = ms.cof.members, ms.we.members, ms.fib.members
+    return (None if cylinders is None else any(i in cof and j in we for i, j in cylinders),
+            None if paths is None else any(w in we and p in fib for w, p in paths))
 
 
 def _cylinders(cat: FinCat, f: str, g: str) -> tuple | None:
@@ -255,14 +274,9 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
 
     we_witness = next(((f,) for f in ms.we.sorted_members()
                        if not cat.is_iso(repl.functor.mor_map[f])), ())
-
-    def rigid(f: str, g: str) -> bool:
-        rep = homotopy_relations(ms, f, g)
-        return rep.left == rep.right == (f == g)
-
     rigidity_witness = next(((f, g) for a in cat.objects for b in fibrants
                              for f in cat.hom(a, b) for g in cat.hom(a, b)
-                             if not rigid(f, g)), ())
+                             if _homotopic(ms, f, g) != (f == g, f == g)), ())
 
     acyclic_cof = ms.acyclic_cofibrations()
     ess_surj = all(repl.unit.components[x] in acyclic_cof for x in cat.objects)
@@ -442,7 +456,9 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
         if not search.found:
             round_ok, detail = False, "fibrant objects not reflective"
             break
-        st2 = localization_from_reflector(search.reflector)
+        refl = search.reflector
+        st2 = localization_from_reflector(
+            _own_reflector(st, refl.members, refl.unit.components) or refl)
         if (st2.cof.members, st2.we.members, st2.fib.members) != \
            (st.cof.members, st.we.members, st.fib.members):
             round_ok, detail = False, f"classes changed for {sorted(r.members)}"

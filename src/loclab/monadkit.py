@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
-                     Violation, compose_functors, identity_functor, iso_classes)
+                     Violation, generators, identity_functor, iso_classes)
 from .reflect import Reflector, certify_reflector
 
 
@@ -46,7 +46,7 @@ def verify_monad(monad: MonadData) -> MonadReport:
         shape.append(Violation("monad-shape", (), "T is not an endofunctor"))
     if monad.unit.source != identity_functor(cat) or monad.unit.target != t:
         shape.append(Violation("monad-shape", (), "unit is not id -> T"))
-    tt = compose_functors(t, t) if not shape else None
+    tt = t.squared if not shape else None
     if tt is not None and (monad.mult.source != tt or monad.mult.target != t):
         shape.append(Violation("monad-shape", (), "mult is not T.T -> T"))
     if shape or t.violations:
@@ -103,7 +103,7 @@ def monad_from_reflector(refl: Reflector) -> MonadData:
         if len(candidates) != 1:
             raise CategoryError(f"multiplication at {x!r} not uniquely determined")
         mu[x] = candidates[0]
-    return MonadData(t, refl.unit, NatTransData(compose_functors(t, t), t, mu))
+    return MonadData(t, refl.unit, NatTransData(t.squared, t, mu))
 
 
 def reflector_from_monad(monad: MonadData) -> Reflector:
@@ -149,8 +149,9 @@ def monad_morphism_exists(source: MonadData, target: MonadData,
     """Exhaustive search for a monad morphism; first witness in canonical order.
 
     The component at x ranges over the c with c . eta_x == eta'_x, in hom order.
-    Each naturality square is decided once per search path, when the later of
-    its endpoints is assigned; `is_monad_morphism` checks every leaf."""
+    Each naturality square at a generator is decided once per search path, when
+    the later of its endpoints is assigned; `is_monad_morphism` checks every
+    leaf, so the first witness is that of a search deciding every square."""
     if source.cat != target.cat:
         raise CategoryError("monads live on different categories")
     cat, smor, tmor = source.cat, source.functor.mor_map, target.functor.mor_map
@@ -183,10 +184,11 @@ def monad_morphism_exists(source: MonadData, target: MonadData,
 
 
 def _square_positions(cat: FinCat) -> tuple:
-    """For each position in `cat.objects`, the (f, src f, dst f) whose later
-    endpoint sits there: the naturality squares a search can first decide."""
+    """For each position in `cat.objects`, the (f, src f, dst f) with f in
+    `generators(cat)` whose later endpoint sits there: the naturality squares
+    a search can first decide."""
     index = {x: i for i, x in enumerate(cat.objects)}
-    return tuple(tuple((f, cat.src[f], cat.dst[f]) for f in cat.morphisms
+    return tuple(tuple((f, cat.src[f], cat.dst[f]) for f in generators(cat)
                        if max(index[cat.src[f]], index[cat.dst[f]]) == i)
                  for i in range(len(index)))
 

@@ -76,22 +76,44 @@ def find_reflector(cat: FinCat, members) -> ReflectorSearch:
     require_valid(cat)
     members = frozenset(str(m) for m in members)
     FullSubcat(cat, members)   # refuses members outside the category
-    # For each object x, every u: x -> a with a and the universal row of u, in (a, u) order.
-    arrows = cat._memoized("arrows-out", lambda c: {x: tuple(
-        (u, a, universal_row(c, u)) for a in c.objects for u in c.hom(x, a)) for x in c.objects})
-    unit: dict = {}
-    for x in cat.objects:
-        unit[x] = next((u for u, a, row in arrows[x] if a in members and members <= row), None)
-        if unit[x] is None:
-            return ReflectorSearch(None, x)
+    unit = _unit_search(cat, sum(1 << i for i, x in enumerate(cat.objects) if x in members))
+    if isinstance(unit, str):
+        return ReflectorSearch(None, unit)
     return ReflectorSearch(reflector_from_unit(cat, members, unit))
+
+
+def _unit_arrows(cat: FinCat) -> tuple:
+    """Per object x, each u: x -> a in (a, u) order as (u, bit of a, row of u as a mask)."""
+    bit = {x: 1 << i for i, x in enumerate(cat.objects)}
+    return tuple(tuple((u, bit[a], sum(map(bit.get, universal_row(cat, u))))
+                       for a in cat.objects for u in cat.hom(x, a)) for x in cat.objects)
+
+
+def _unit_search(cat: FinCat, mask: int) -> dict | str:
+    """The unit onto the objects in `mask`: at each x the first arrow into it
+    whose universal row holds it; or the least x with no such arrow."""
+    unit = {}
+    for x, arrows in zip(cat.objects, cat._memoized("unit-arrows", _unit_arrows)):
+        unit[x] = next((u for u, a, row in arrows if a & mask and not mask & ~row), None)
+        if unit[x] is None:
+            return x
+    return unit
 
 
 def reflector_from_unit(cat: FinCat, members, unit: dict) -> Reflector:
     """The reflector onto the full subcategory on `members` with the given
     unit: x goes to the target of unit[x], and f to the one w with
-    w . unit[src f] == unit[dst f] . f.  Raises CategoryError when some f has
-    no such w or more than one."""
+    w . unit[src f] == unit[dst f] . f, found once per category, members and
+    unit.  Raises CategoryError when some f has no such w or more than one."""
+    members = frozenset(members)
+    mor_map = cat._memoized(("fillers", members, tuple(unit[x] for x in cat.objects)),
+                            lambda c: _fillers(c, unit))
+    functor = FunctorData(cat, cat, {x: cat.dst[u] for x, u in unit.items()}, mor_map)
+    nat = NatTransData(identity_functor(cat), functor, unit)
+    return Reflector(FullSubcat(cat, members), functor, nat)
+
+
+def _fillers(cat: FinCat, unit: dict) -> dict:
     mor_map: dict = {}
     for f in cat.morphisms:
         lifts = cat.extensions(unit[cat.src[f]], cat.comp(unit[cat.dst[f]], f))
@@ -99,13 +121,22 @@ def reflector_from_unit(cat: FinCat, members, unit: dict) -> Reflector:
             raise CategoryError(
                 f"the unit induces {len(lifts)} maps for {f!r}, not exactly one")
         mor_map[f] = lifts[0]
-    functor = FunctorData(cat, cat, {x: cat.dst[u] for x, u in unit.items()}, mor_map)
-    nat = NatTransData(identity_functor(cat), functor, unit)
-    return Reflector(FullSubcat(cat, frozenset(members)), functor, nat)
+    return mor_map
 
 
 def certify_reflector(refl: Reflector) -> list[Violation]:
-    """Re-verify everything a reflector promises, exhaustively."""
+    """Re-verify everything a reflector promises, exhaustively; decided once per
+    members, functor maps and unit when shaped as `reflector_from_unit` builds."""
+    cat, functor, unit = refl.cat, refl.functor, refl.unit
+    if not (functor.source is cat is functor.target and unit.target is functor
+            and unit.source == identity_functor(cat)):
+        return _certificate(refl)
+    key = ("certificate", refl.members, tuple(functor.obj_map.items()),
+           tuple(functor.mor_map.items()), tuple(unit.components.items()))
+    return list(cat._memoized(key, lambda c: tuple(_certificate(refl))))
+
+
+def _certificate(refl: Reflector) -> list[Violation]:
     cat = refl.cat
     out = [*refl.functor.violations, *refl.unit.violations]
     if out:
@@ -131,19 +162,21 @@ def enumerate_replete_reflective(cat: FinCat) -> tuple[Reflector, ...]:
     """All replete reflective subcategories, via iso-closed subset search.
 
     Iterates unions of isomorphism classes, the empty union included
-    (repleteness is built in), and keeps those admitting a reflector; output
-    ordered by (size, members).  The empty union is reflective only in the
-    empty category.
+    (repleteness is built in), as object bitmasks, and keeps those admitting a
+    reflector; output ordered by (size, members).  The empty union is
+    reflective only in the empty category.
     """
     require_valid(cat)
     classes = iso_classes(cat)
+    bit = {x: 1 << i for i, x in enumerate(cat.objects)}
+    masks = [sum(map(bit.get, cls)) for cls in classes]
     found = []
     for k in range(len(classes) + 1):
         for combo in combinations(range(len(classes)), k):
-            members = frozenset().union(*(set(classes[i]) for i in combo))
-            search = find_reflector(cat, members)
-            if search.found:
-                found.append(search.reflector)
+            unit = _unit_search(cat, sum(masks[i] for i in combo))
+            if not isinstance(unit, str):
+                members = frozenset(x for i in combo for x in classes[i])
+                found.append(reflector_from_unit(cat, members, unit))
     return tuple(sorted(found, key=lambda r: (len(r.members), tuple(sorted(r.members)))))
 
 

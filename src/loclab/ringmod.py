@@ -353,6 +353,9 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             raise RingError(f"malformed {kind!r} ring spec: {field} must be {noun}, got {value!r}")
         return value
 
+    if "name" in spec:
+        typed(spec["name"], str, "name")
+
     def square(rows, els: list[str], field: str) -> dict:
         n = len(els)
         if type(rows) is not list or len(rows) != n or \
@@ -388,7 +391,7 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
             els = typed(spec["elements"], list, "elements")
             capped(len(els))
             els = [typed(e, str, f"elements[{i}]") for i, e in enumerate(els)]
-            ring = FiniteRing(str(spec.get("name", "tables")), tuple(els),
+            ring = FiniteRing(spec.get("name", "tables"), tuple(els),
                               square(spec["add"], els, "add"), square(spec["mul"], els, "mul"),
                               typed(spec["zero"], str, "zero"), typed(spec["one"], str, "one"))
         else:

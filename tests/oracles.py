@@ -7,12 +7,14 @@ instead of one pass over the maps into the apex, minor gcds instead of the
 diagonal form, every hom matrix of a truncated abelian p-group category instead
 of Littlewood-Richardson support, hom-set searches and full naturality scans
 instead of the per-category tables the model and monad certificates filter,
-per-target factorization counts instead of memoized universal rows), so
-agreement is meaningful.  The ring and ring-map axioms are re-decided triple by
-triple on the string tables, and the additive group is presented on all pairs
-instead of a triangular matrix on greedy generators.  Monomorphisms, epimorphisms and ring homomorphisms
-are decided only here, by exhaustive cancellation and backtracking searches;
-no command needs them, and the tests use them as reference checks.
+per-target factorization counts instead of memoized universal rows, every
+composable pair and every map instead of the generators that decide the functor
+and naturality laws), so agreement is meaningful.  The ring and ring-map axioms
+are re-decided triple by triple on the string tables, and the additive group is
+presented on all pairs instead of a triangular matrix on greedy generators.
+Monomorphisms, epimorphisms and ring homomorphisms are decided only here, by
+exhaustive cancellation and backtracking searches; no command needs them, and
+the tests use them as reference checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product as iproduct
 from math import gcd
 
-from loclab.fincat import FinCat, opposite
+from loclab.fincat import FinCat, Violation, opposite
 from loclab.lifting import MorphismClass
 
 
@@ -159,6 +161,76 @@ def universal_arrows_by_scan(cat: FinCat, members) -> dict | str:
             return x
         unit[x] = chosen
     return unit
+
+
+# -- generators, functor and naturality laws by full scans ------------------------------
+
+
+def closure_under_composition(cat: FinCat, gens) -> set:
+    """The identities and `gens`, saturated under every composite of two
+    members until nothing new appears."""
+    closed = set(cat.identity.values()) | set(gens)
+    while True:
+        grown = closed | {cat.comp(g, f) for g in closed for f in closed
+                          if cat.src[g] == cat.dst[f]}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def functor_violations_by_scan(functor) -> list:
+    """Every functor law at every object, morphism and composable pair, in the
+    order `FunctorData.violations` reports them."""
+    src, tgt, obj, mor = functor.source, functor.target, functor.obj_map, functor.mor_map
+    out = []
+    for x in src.objects:
+        if x not in obj:
+            out.append(Violation("functor-obj-total", (x,)))
+        elif obj[x] not in tgt.objects:
+            out.append(Violation("functor-obj-target", (x, obj[x])))
+    for f in src.morphisms:
+        if f not in mor:
+            out.append(Violation("functor-mor-total", (f,)))
+        elif mor[f] not in tgt.morphisms:
+            out.append(Violation("functor-mor-target", (f, mor[f])))
+        elif (tgt.src[mor[f]], tgt.dst[mor[f]]) != (obj.get(src.src[f]), obj.get(src.dst[f])):
+            out.append(Violation("functor-endpoints", (f, mor[f])))
+    if out:
+        return out
+    out = [Violation("functor-identity", (x,)) for x in src.objects
+           if mor[src.identity[x]] != tgt.identity[obj[x]]]
+    for g in src.morphisms:
+        for f in src.morphisms:
+            if src.src[g] == src.dst[f]:
+                got = tgt.comp(mor[g], mor[f])
+                if got != mor[src.comp(g, f)]:
+                    out.append(Violation("functor-composition", (g, f),
+                                         f"F(g.f) != F(g).F(f) ({got})"))
+    return out
+
+
+def nat_violations_by_scan(nat) -> list:
+    """Every naturality law at every object and morphism, in the order
+    `NatTransData.violations` reports them."""
+    s, t, comps = nat.source, nat.target, nat.components
+    if s.source != t.source or s.target != t.target:
+        return [Violation("nat-shape", (), "source/target functors not parallel")]
+    cat, tgt = s.source, s.target
+    out = []
+    for x in cat.objects:
+        c = comps.get(x)
+        if c is None:
+            out.append(Violation("nat-total", (x,)))
+        elif c not in tgt.morphisms or (tgt.src[c], tgt.dst[c]) != (s.obj_map[x], t.obj_map[x]):
+            out.append(Violation("nat-component", (x, c)))
+    if out:
+        return out
+    for f in cat.morphisms:
+        lhs = tgt.comp(comps[cat.dst[f]], s.mor_map[f])
+        rhs = tgt.comp(t.mor_map[f], comps[cat.src[f]])
+        if lhs != rhs:
+            out.append(Violation("naturality", (f,), f"{lhs} != {rhs}"))
+    return out
 
 
 # -- monomorphisms and epimorphisms by cancellation ------------------------------------

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loclab import corpus, fincat, lifting, modelstruct, monadkit, ringmod, snf
+from loclab import corpus, fincat, lifting, modelstruct, monadkit, reflect, ringmod, snf
 from loclab.cli import build_parser, main
 from loclab.fincat import FinCat, NatTransData, identity_functor
-from loclab.reflect import enumerate_replete_reflective
+from loclab.reflect import enumerate_replete_reflective, find_reflector
 from test_golden import cases as golden_cases
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -480,6 +480,32 @@ class TestMalformedInputs:
         assert code == 2 and out == "" and f"malformed JSON in {path}" in err
         assert "expected p=2,bound=3" not in err
 
+    @pytest.mark.parametrize("data, message", [
+        ({"objects": ["a"], "morphisms": [{"id": None, "src": "a", "dst": "a"}], "compose": []},
+         "morphisms[0].id must be a JSON string, got None"),
+        ({"objects": [None, "1"], "morphisms": [], "compose": []},
+         "objects[0] must be a JSON string, got None"),
+    ])
+    def test_category_ids_are_strings(self, capsys, tmp_path, data, message):
+        # str() read these as the ids "None" and passed them as valid
+        code, out, err = run(capsys, "validate", write(tmp_path, "cat", data))
+        assert code == 2 and out == "" and message in err
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "tables", "elements": ["0", "1"], "zero": "0", "one": "1",
+         "add": [["0", "1"], ["1", "0"]], "mul": [["0", "0"], ["0", "1"]], "name": None},
+        {"kind": "zn", "n": 2, "name": [1, 2]},
+        {"kind": "product", "factors": [{"kind": "zn", "n": 2}], "name": 2},
+        {"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": [1, 1], "name": False},
+    ])
+    def test_ring_spec_name_is_a_string(self, capsys, tmp_path, spec):
+        # str() named these rings Mod(None) and Mod([1, 2])
+        code, out, err = run(capsys, "ring-check", "--ring", write(tmp_path, "ring", spec),
+                             "--algebra", "ring_z2",
+                             "--map", write(tmp_path, "map", {"0": "0", "1": "1"}))
+        assert code == 2 and out == "" and \
+            f"name must be a string, got {spec['name']!r}" in err
+
     def test_category_repeated_key(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text('{"objects": ["a"], "objects": ["a", "b"], "morphisms": [], '
@@ -829,6 +855,59 @@ class TestComputedOnce:
         assert code == 0
         # pentagon has 13 localizations; `seen` keeps each structure alive
         assert len({id(ms) for ms in seen}) == len(seen) == 13
+
+    def test_reflector_functor_composes_at_generator_pairs(self, bench_lattices, monkeypatch):
+        cat = bench_lattices["chain8"]
+        refl = find_reflector(cat, {"3", "7"}).reflector
+        assert refl.functor.is_valid()   # the category's tables are built
+        compared = []
+
+        class Counted(dict):
+            def __getitem__(self, pair):
+                compared.append(pair)
+                return dict.__getitem__(self, pair)
+
+        monkeypatch.setattr(cat, "compose", Counted(cat.compose))
+        functor = fincat.FunctorData(cat, cat, refl.functor.obj_map, refl.functor.mor_map)
+        assert functor.is_valid()
+        # the 7 covering maps g, each after the non-identity maps into src(g),
+        # decide the law on all 120 composable pairs
+        assert (len(compared), len(cat.compose)) == (21, 120)
+
+    def test_one_functor_walk_per_distinct_functor(self, capsys, monkeypatch):
+        walked = []
+
+        def counted(functor, original=fincat.FunctorData.violations.func):
+            walked.append((tuple(functor.obj_map.items()), tuple(functor.mor_map.items())))
+            return original(functor)
+
+        prop = cached_property(counted)
+        prop.__set_name__(fincat.FunctorData, "violations")
+        monkeypatch.setattr(fincat.FunctorData, "violations", prop)
+        code, _, _ = run(capsys, "enumerate-localizations", "pentagon")
+        assert code == 0
+        # the fibrant replacement of each of the 13 localizations is its reflector
+        assert len(walked) == len(set(walked)) == 13
+
+    def test_one_filler_loop_and_certificate_per_reflector(self, capsys, monkeypatch):
+        seen = {"_fillers": [], "_certificate": []}
+
+        def fillers(cat, unit, original=reflect._fillers):
+            seen["_fillers"].append(tuple(unit.items()))
+            return original(cat, unit)
+
+        def certificate(refl, original=reflect._certificate):
+            seen["_certificate"].append((refl.members, units(refl)))
+            return original(refl)
+
+        monkeypatch.setattr(reflect, "_fillers", fillers)
+        monkeypatch.setattr(reflect, "_certificate", certificate)
+        code, _, _ = run(capsys, "bijections", "pentagon")
+        assert code == 0
+        # the replacements, the round trip and the monad dictionary rebuild
+        # each of the 13 reflectors; each is filled and decided once
+        for fn, calls in seen.items():
+            assert len(calls) == len(set(calls)) == 13, fn
 
     def test_violations_decided_once(self, chain2):
         ident = identity_functor(chain2)

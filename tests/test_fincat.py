@@ -1,13 +1,19 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from loclab import corpus
+from loclab import fincat
 from loclab.fincat import (CategoryError, FinCat, FunctorData, NatTransData,
                            binary_coproduct, binary_product, compose_functors,
-                           equalizer, identity_functor, is_finitely_bicomplete,
+                           equalizer, generators, identity_functor, is_finitely_bicomplete,
                            iso_classes, limit_search, opposite, pullback,
                            pushout, terminal_object, validate_category)
-from oracles import is_mono, least_limit
+from loclab.reflect import enumerate_replete_reflective
+from oracles import (closure_under_composition, functor_violations_by_scan, is_mono,
+                     least_limit, nat_violations_by_scan)
+from test_modelstruct import moore_families
 
 
 def make(data):
@@ -65,12 +71,23 @@ class TestValidation:
         assert validate_category(cat).ok
         assert not is_finitely_bicomplete(cat).ok
 
-    @pytest.mark.parametrize("field, value", [("objects", "ab"), ("morphisms", "m"),
-                                              ("compose", {}), ("identity", [])])
+    @pytest.mark.parametrize("field, value", [
+        ("objects", "ab"), ("morphisms", "m"), ("compose", {}), ("identity", []),
+        # every id is a JSON string, so none is read from null or 0
+        ("objects", [None, "a"]), ("objects", ["a", 1]),
+        ("morphisms", [{"id": None, "src": "a", "dst": "a"}]),
+        ("morphisms", [{"id": "f", "src": 0, "dst": "a"}]),
+        ("morphisms", [{"id": "f", "src": "a", "dst": ["a"]}]),
+        ("compose", [{"g": None, "f": "id_a", "gf": "id_a"}]),
+        ("compose", [{"g": "id_a", "f": 1, "gf": "id_a"}]),
+        ("compose", [{"g": "id_a", "f": "id_a", "gf": False}]),
+        ("identity", {"a": None}), ("identity", {1: "id_a"}),
+        ("name", None), ("name", ["a"]),
+    ])
     def test_ill_typed_field_rejected(self, field, value):
         data = {"objects": ["a"], "morphisms": [], "compose": []}
         data[field] = value
-        with pytest.raises(CategoryError):
+        with pytest.raises(CategoryError, match=field):
             make(data)
 
     def test_reserved_identity_collision(self):
@@ -330,3 +347,72 @@ class TestRandomTransformationMonoids:
         for cat in (product_category(monoid, chain2), product_category(chain2, monoid)):
             assert validate_category(cat).ok
             assert_every_search_is_the_least_limit(cat)
+
+
+# -- the generator lemma: laws decided on generators equal the full scans ----------------
+
+
+def corruptions(cat: FinCat, mapping: dict, rng: random.Random) -> list[dict]:
+    """`mapping` with the value at one key swapped for a parallel map, and with
+    it swapped for a map that is not parallel, where the category has one."""
+    key = rng.choice(sorted(mapping))
+    m = mapping[key]
+    pools = ([w for w in cat.hom(cat.src[m], cat.dst[m]) if w != m],
+             [w for w in cat.morphisms if not cat.parallel(w, m)])
+    return [{**mapping, key: rng.choice(pool)} for pool in pools if pool]
+
+
+def assert_generator_lemma(cat: FinCat, rng: random.Random) -> None:
+    """G generates the category, and on each reflector functor and unit, and on
+    seeded corruptions of them, the violations equal the full scans'."""
+    gens = generators(cat)
+    assert closure_under_composition(cat, gens) == set(cat.morphisms), cat.name
+    assert not set(gens) & set(cat.identity.values())
+    for refl in enumerate_replete_reflective(cat):
+        functors = [refl.functor] + [FunctorData(cat, cat, refl.functor.obj_map, mor)
+                                     for mor in corruptions(cat, refl.functor.mor_map, rng)]
+        for functor in functors:
+            assert list(functor.violations) == functor_violations_by_scan(functor)
+        # a functor with a map of the wrong endpoints has no naturality squares
+        targets = [t for t in functors
+                   if all(v.law in ("functor-identity", "functor-composition")
+                          for v in t.violations)]
+        for comps in [refl.unit.components, *corruptions(cat, refl.unit.components, rng)]:
+            for target in targets:
+                nat = NatTransData(refl.unit.source, target, comps)
+                assert list(nat.violations) == nat_violations_by_scan(nat)
+
+
+class TestGeneratorLemma:
+    def test_bundled_and_bench_categories(self, row_categories):
+        rng = random.Random(20)
+        for _, cat in row_categories:
+            assert_generator_lemma(cat, rng)
+
+    @pytest.mark.parametrize("name, gens, morphisms, pairs, composable", [
+        ("chain8", 7, 36, 21, 120), ("B3", 12, 27, 15, 64),
+        ("grid2x4", 10, 30, 18, 80), ("finset2", 5, 11, 14, 47),
+    ])
+    def test_generator_counts(self, cats, bench_lattices, name, gens, morphisms, pairs,
+                              composable):
+        cat = {**cats, **bench_lattices}[name]
+        # a lattice's generators are its covering maps
+        assert (len(generators(cat)), len(cat.morphisms)) == (gens, morphisms)
+        assert (len(fincat._generator_pairs(cat)), len(cat.compose)) == (pairs, composable)
+
+    @given(family=moore_families())
+    @settings(max_examples=25, deadline=None)
+    def test_random_moore_lattices(self, make_poset, family):
+        sets = {"s" + "".join(map(str, sorted(s))): s for s in family}
+        cat = make_poset("moore", sorted(sets), lambda a, b: sets[a] <= sets[b])
+        for c in (cat, opposite(cat)):
+            assert_generator_lemma(c, random.Random(len(family)))
+
+    @given(generated=monoid_generators(), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_random_transformation_monoids(self, generated, seed):
+        # isomorphisms and idempotents: the greedy pass picks maps no
+        # indecomposable reaches, such as an idempotent e = e.e
+        cat = transformation_monoid(*generated)
+        for c in (cat, opposite(cat)):
+            assert_generator_lemma(c, random.Random(seed))

@@ -190,6 +190,18 @@ class TestMonadSearchAgainstFullScan:
                         assert components(monad_morphism_exists(s, t)) == \
                             monad_morphism_by_full_scan(s, t), name
 
+    @pytest.mark.parametrize("name", ["pentagon", "diamond", "B3"])
+    def test_first_witness_at_generator_squares(self, cats, bench_lattices, name):
+        # the search decides squares only at generators and re-checks each
+        # leaf; the oracle decides every square at every step
+        cat = {**cats, **bench_lattices}[name]
+        monads = [monad_from_reflector(r) for r in enumerate_replete_reflective(cat)]
+        for s in monads:
+            for t in monads:
+                for isos_only in (False, True):
+                    assert components(monad_morphism_exists(s, t, isos_only)) == \
+                        monad_morphism_by_full_scan(s, t, isos_only), name
+
     def test_unit_extension_masks_match_the_search(self, certified_families):
         # A lattice is thin, so every unit-law candidate is natural and a
         # monad morphism: the mask decides the search, not just bounds it.
