@@ -178,15 +178,17 @@ class FinCat:
                 raise CategoryError(f"malformed category file: {key!r} must be a JSON "
                                     f"{'array' if kind is list else 'object'}")
         try:
-            objects = [_string(o, f"objects[{i}]") for i, o in enumerate(data["objects"])]
-            raw_mors = [tuple(_string(m[k], f"morphisms[{i}].{k}") for k in ("id", "src", "dst"))
+            objects = [_string(o, "objects", i) for i, o in enumerate(data["objects"])]
+            raw_mors = [(_string(m["id"], "morphisms", i, "id"),
+                         _string(m["src"], "morphisms", i, "src"),
+                         _string(m["dst"], "morphisms", i, "dst"))
                         for i, m in enumerate(data.get("morphisms", []))]
-            raw_comp = {(_string(r["g"], f"compose[{i}].g"), _string(r["f"], f"compose[{i}].f")):
-                        _string(r["gf"], f"compose[{i}].gf")
+            raw_comp = {(_string(r["g"], "compose", i, "g"), _string(r["f"], "compose", i, "f")):
+                        _string(r["gf"], "compose", i, "gf")
                         for i, r in enumerate(data.get("compose", []))}
         except (KeyError, TypeError) as exc:
             raise CategoryError(f"malformed category file: {exc}") from exc
-        identity = {_string(o, "identity key"): _string(m, f"identity[{o!r}]")
+        identity = {_string(o, "identity key"): _string(m, "identity", o)
                     for o, m in data.get("identity", {}).items()}
 
         mor_ids = {m for (m, _, _) in raw_mors}
@@ -211,9 +213,12 @@ class FinCat:
                    name=_string(data["name"], "name") if "name" in data else "")
 
 
-def _string(value, field: str) -> str:
-    if type(value) is not str:   # so no id is read from null or 0
-        raise CategoryError(f"malformed category file: {field} must be a JSON string, "
+def _string(value, field: str, at=None, key: str = "") -> str:
+    """`value`, which must be a JSON string, so that no id is read from null or
+    0; the error names field[at].key."""
+    if type(value) is not str:
+        path = field + ("" if at is None else f"[{at!r}]") + (f".{key}" if key else "")
+        raise CategoryError(f"malformed category file: {path} must be a JSON string, "
                             f"got {value!r}")
     return value
 
