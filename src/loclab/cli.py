@@ -25,6 +25,7 @@ from .modelstruct import (ModelStructure, bijection_suite, colocalizations_via_o
 from .monadkit import MonadData, is_idempotent, monad_from_reflector, verify_monad
 from .reflect import enumerate_replete_reflective, find_reflector
 from .ringmod import RingError, RingHom, localization_exists_verdict, ring_from_spec
+from .schema import MODEL, MONAD, TRUNCATED, check, check_ring_map
 
 INPUT_ERROR = 2
 NEGATIVE = 1
@@ -46,7 +47,8 @@ def _read_json(path: str) -> dict:
             return json.load(fh, object_pairs_hook=corpus.unique_keys)
     except FileNotFoundError:
         return corpus.load_json(path)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, an integer too
+        # long to convert, or arrays and objects nested too deeply to parse
         raise CategoryError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -73,12 +75,7 @@ def _load_category(args, source, within: str = "") -> FinCat:
     `invalid` report; an invalid category inside a model or monad file is an
     input error.
     """
-    if within:
-        if not isinstance(source, dict) or "category" not in source:
-            raise CategoryError(f"{within} file needs a 'category' field")
-        cat = FinCat.from_json_dict(source["category"])
-    else:
-        cat = FinCat.from_json_dict(_read_json(source))
+    cat = FinCat.from_json_dict(source["category"] if within else _read_json(source))
     for kind, count, cap in (("objects", len(cat.objects), args.max_objects),
                              ("morphisms", len(cat.morphisms), args.max_morphisms)):
         if count > cap:
@@ -189,13 +186,9 @@ def cmd_colocalizations(args) -> Outcome:
 
 
 def _parse_model_file(data: dict, args) -> ModelStructure:
-    cat = _load_category(args, data, within="model")
-    classes = {}
-    for k in ("cof", "we", "fib"):
-        if not isinstance(data.get(k), list):
-            raise CategoryError(f"model file needs class {k!r} as a list of morphism ids")
-        classes[k] = MorphismClass.of(cat, data[k])
-    return ModelStructure(cat, classes["cof"], classes["we"], classes["fib"], "file")
+    cat = _load_category(args, check(MODEL, data, "model file", CategoryError), within="model")
+    return ModelStructure(cat, *(MorphismClass.of(cat, data[k]) for k in ("cof", "we", "fib")),
+                          "file")
 
 
 def cmd_verify_model(args) -> Outcome:
@@ -243,31 +236,19 @@ def cmd_homotopy_category(args) -> Outcome:
 
 
 def _monad_from_file(data: dict, args=DEFAULT_ARGS) -> MonadData:
-    cat = _load_category(args, data, within="monad")
-    fields = []
-    for name, keys in (("T_obj", cat.objects), ("T_mor", cat.morphisms),
-                       ("unit", cat.objects), ("mult", cat.objects)):
-        mapping = data.get(name)
-        if not isinstance(mapping, dict):
-            found = f"got {type(mapping).__name__}" if name in data else f"KeyError: {name!r}"
-            raise CategoryError(f"monad file needs T_obj, T_mor, unit and mult as objects; {found}")
+    cat = _load_category(args, check(MONAD, data, "monad file", CategoryError), within="monad")
+    t_obj, t_mor, unit, mult = (data[name] for name in ("T_obj", "T_mor", "unit", "mult"))
+    for name, mapping, keys in (("T_obj", t_obj, cat.objects), ("T_mor", t_mor, cat.morphisms),
+                                ("unit", unit, cat.objects), ("mult", mult, cat.objects)):
         stray = sorted(set(mapping).difference(keys))
         if stray:
             raise CategoryError(f"monad file {name} maps {stray[0]!r}, which is not an id of "
                                 "the category")
-        fields.append(mapping)
-    t_obj, t_mor, unit, mult = fields
-    for name, mapping, ids in (("T_obj", t_obj, set(cat.objects)),
-                               ("T_mor", t_mor, set(cat.morphisms))):
+    for name, mapping in (("T_obj", t_obj), ("T_mor", t_mor)):
         for key, value in mapping.items():
-            if not (isinstance(value, str) and value in ids and value in mapping):
+            if value not in mapping:   # whose keys are ids of the category
                 raise CategoryError(f"monad file {name} sends {key} to {value!r}, which is "
                                     "not an id of the category that it maps")
-    for name, mapping in (("unit", unit), ("mult", mult)):
-        for key, value in mapping.items():
-            if not isinstance(value, str):
-                raise CategoryError(f"monad file {name} sends {key} to {value!r}, which is "
-                                    "not a morphism id")
     functor = FunctorData(cat, cat, t_obj, t_mor)
     return MonadData(functor, NatTransData(identity_functor(cat), functor, unit),
                      NatTransData(functor.squared, functor, mult))
@@ -324,11 +305,7 @@ def cmd_bijections(args) -> Outcome:
 
 def _read_ring_map(path: str) -> dict:
     """A ring map file: a JSON object from elements to elements, bare or under "map"."""
-    data = _read_json(path)
-    mapping = data.get("map", data) if isinstance(data, dict) else data
-    if not isinstance(mapping, dict):
-        raise RingError(f"{path}: a ring map must be a JSON object, bare or under 'map'")
-    return {str(k): str(v) for k, v in mapping.items()}
+    return check_ring_map(_read_json(path), RingError)
 
 
 def cmd_ring_check(args) -> Outcome:
@@ -349,21 +326,15 @@ def cmd_ring_check(args) -> Outcome:
 
 
 def _parse_truncated_arg(arg: str) -> tuple[int, int]:
+    """A spec file (or bundled spec) when `arg` names one, else `p=P,bound=N`."""
     try:
-        spec = _read_json(arg)
+        data = _read_json(arg)
     except (CategoryError, OSError):
         if os.path.isfile(arg):   # an unreadable spec file keeps its own reason
             raise
-        spec = None
-    if isinstance(spec, dict) and spec.get("kind") == "truncated-abelian":
-        try:
-            p, bound = spec["p"], spec["bound"]
-            if type(p) is not int or type(bound) is not int:   # refuse floats, strings, bools
-                raise ValueError(f"p and bound must be integers, got {p!r} and {bound!r}")
-            return p, bound
-        except (KeyError, ValueError) as exc:
-            raise CategoryError(
-                f"malformed truncated-abelian spec in {arg}: {exc!r}") from exc
+    else:
+        spec = check(TRUNCATED, data, "truncated-abelian spec", CategoryError)
+        return spec["p"], spec["bound"]
     try:
         pairs = [kv.split("=") for kv in arg.split(",")]
         parts = dict(pairs)

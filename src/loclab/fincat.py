@@ -7,20 +7,21 @@ structures) is decided by exhaustive search over this data, so validation and
 universal-property certificates here are the trust anchor for the whole
 package.
 
-Ids are opaque strings; all iteration is in sorted order, so every operation
-is deterministic.  Values are immutable after construction and every function
-is pure, so each fact derived from a category is computed once and kept in
-that instance's memo: its canonical key and hash, validation report, isos and
-iso classes, opposite, (co)limit hypotheses, every limit search, keyed by
-(shape, *args), every extension set, the lifting and retract row of each
-morphism, the universal row of each morphism (and each object's maps out with
-their rows as bitmasks), the factorizations of each morphism, the cylinder and
-path candidates of each parallel pair, a generating set of morphisms with its
-composable pairs, the identity functor's maps, the fillers of each (members,
-unit) and the certificate of each reflector, and where each naturality square
-at a generator is first decided.  Colimits are limits in the opposite, so they
-sit in its memo.  No memo value refers back to its category, so no memo keeps
-its category alive in a reference cycle.
+Ids are opaque strings.  Those of a file arrive already checked as JSON
+strings by `schema`, so none is coerced here.  All iteration is in sorted
+order, so every operation is deterministic.  Values are immutable after
+construction and every function is pure, so each fact derived from a category
+is computed once and kept in that instance's memo: its canonical key and hash,
+validation report, isos and iso classes, opposite, (co)limit hypotheses, every
+limit search, keyed by (shape, *args), every extension set, the lifting and
+retract row of each morphism, the universal row of each morphism (and each
+object's maps out with their rows as bitmasks), the factorizations of each
+morphism, the cylinder and path candidates of each parallel pair, a generating
+set of morphisms with its composable pairs, the identity functor's maps, the
+fillers of each (members, unit) and the certificate of each reflector, and
+where each naturality square at a generator is first decided.  Colimits are
+limits in the opposite, so they sit in its memo.  No memo value refers back to
+its category, so no memo keeps its category alive in a reference cycle.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, product as iproduct
+
+from .schema import CATEGORY, check
 
 RESERVED_ID_PREFIX = "id_"
 
@@ -58,16 +61,14 @@ class FinCat:
     """Objects, morphisms (id, src, dst), identities, and a composition table."""
 
     def __init__(self, objects, morphisms, identity, compose, name: str = ""):
-        self.name = str(name)
-        self.objects: tuple[str, ...] = tuple(sorted(str(o) for o in objects))
-        triples = sorted((str(m), str(s), str(d)) for (m, s, d) in morphisms)
+        self.name = name
+        self.objects: tuple[str, ...] = tuple(sorted(objects))
+        triples = sorted(morphisms)
         self.morphisms: tuple[str, ...] = tuple(m for (m, _, _) in triples)
         self.src: dict[str, str] = {m: s for (m, s, _) in triples}
         self.dst: dict[str, str] = {m: d for (m, _, d) in triples}
-        self.identity: dict[str, str] = {str(o): str(m) for o, m in dict(identity).items()}
-        self.compose: dict[tuple[str, str], str] = {
-            (str(g), str(f)): str(h) for (g, f), h in dict(compose).items()
-        }
+        self.identity: dict[str, str] = dict(identity)
+        self.compose: dict[tuple[str, str], str] = dict(compose)
         self._n_morphism_entries = len(triples)
         obj_set = set(self.objects)
         homs: dict[tuple[str, str], list[str]] = {}
@@ -170,26 +171,11 @@ class FinCat:
         compose table may reference them, and their composition rows are
         filled in (without overriding explicit entries).
         """
-        if not isinstance(data, dict):
-            raise CategoryError("category file must be a JSON object")
-        for key, kind in (("objects", list), ("morphisms", list), ("compose", list),
-                          ("identity", dict)):
-            if key in data and not isinstance(data[key], kind):
-                raise CategoryError(f"malformed category file: {key!r} must be a JSON "
-                                    f"{'array' if kind is list else 'object'}")
-        try:
-            objects = [_string(o, "objects", i) for i, o in enumerate(data["objects"])]
-            raw_mors = [(_string(m["id"], "morphisms", i, "id"),
-                         _string(m["src"], "morphisms", i, "src"),
-                         _string(m["dst"], "morphisms", i, "dst"))
-                        for i, m in enumerate(data.get("morphisms", []))]
-            raw_comp = {(_string(r["g"], "compose", i, "g"), _string(r["f"], "compose", i, "f")):
-                        _string(r["gf"], "compose", i, "gf")
-                        for i, r in enumerate(data.get("compose", []))}
-        except (KeyError, TypeError) as exc:
-            raise CategoryError(f"malformed category file: {exc}") from exc
-        identity = {_string(o, "identity key"): _string(m, "identity", o)
-                    for o, m in data.get("identity", {}).items()}
+        check(CATEGORY, data, "category file", CategoryError)
+        objects = data["objects"]
+        raw_mors = [(m["id"], m["src"], m["dst"]) for m in data.get("morphisms", [])]
+        raw_comp = {(r["g"], r["f"]): r["gf"] for r in data.get("compose", [])}
+        identity = dict(data.get("identity", {}))
 
         mor_ids = {m for (m, _, _) in raw_mors}
         for obj in objects:
@@ -209,18 +195,7 @@ class FinCat:
                 raw_comp.setdefault((m, identity[src[m]]), m)
             if dst[m] in identity:
                 raw_comp.setdefault((identity[dst[m]], m), m)
-        return cls(objects, raw_mors, identity, raw_comp,
-                   name=_string(data["name"], "name") if "name" in data else "")
-
-
-def _string(value, field: str, at=None, key: str = "") -> str:
-    """`value`, which must be a JSON string, so that no id is read from null or
-    0; the error names field[at].key."""
-    if type(value) is not str:
-        path = field + ("" if at is None else f"[{at!r}]") + (f".{key}" if key else "")
-        raise CategoryError(f"malformed category file: {path} must be a JSON string, "
-                            f"got {value!r}")
-    return value
+        return cls(objects, raw_mors, identity, raw_comp, data.get("name", ""))
 
 
 # -- validation ---------------------------------------------------------------

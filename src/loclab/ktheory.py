@@ -169,7 +169,7 @@ def waldhausen_from_fincat(cat: FinCat, we) -> WaldhausenData:
         len(cat.hom(z, x)) == 1 and len(cat.hom(x, z)) == 1 for x in cat.objects)), None)
     if zero is None:
         raise CategoryError("category is not pointed: no zero object")
-    members = frozenset(str(m) for m in we)
+    members = frozenset(we)
     unknown = sorted(members - set(cat.morphisms))
     if unknown:
         raise CategoryError(f"weak equivalences reference unknown morphisms: {unknown}")

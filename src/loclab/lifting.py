@@ -25,7 +25,7 @@ class MorphismClass:
 
     @classmethod
     def of(cls, cat: FinCat, ids: Iterable[str]) -> "MorphismClass":
-        members = frozenset(str(m) for m in ids)
+        members = frozenset(ids)
         unknown = [m for m in sorted(members) if not cat.has_morphism(m)]
         if unknown:
             raise CategoryError(f"morphism class references unknown ids: {unknown}")

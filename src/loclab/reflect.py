@@ -74,7 +74,7 @@ def find_reflector(cat: FinCat, members) -> ReflectorSearch:
     reflective.
     """
     require_valid(cat)
-    members = frozenset(str(m) for m in members)
+    members = frozenset(members)
     FullSubcat(cat, members)   # refuses members outside the category
     unit = _unit_search(cat, sum(1 << i for i, x in enumerate(cat.objects) if x in members))
     if isinstance(unit, str):

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import gcd, prod
 
+from .schema import RING_SPEC, check
 from .snf import presented_group_order, smith_normal_form
 
 DEFAULT_MAX_RING_SIZE = 16
@@ -334,70 +335,50 @@ def ring_polyquo(n: int, poly: list[int], name: str | None = None) -> FiniteRing
 def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteRing:
     """Build and validate a ring from its JSON spec.
 
-    The order the spec describes is compared with `max_size` before the
-    ring's tables are built, and a spec with missing or ill-typed fields is a
-    `RingError`.
+    The spec is checked against `schema.RING_SPEC`, and the order it
+    describes is compared with `max_size`, before the ring's tables are built.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise RingError("ring spec must be an object with a 'kind' field")
-    kind = spec["kind"]
+    check(RING_SPEC, spec, "ring spec", RingError)
+    kind, name = spec["kind"], spec.get("name")
+    label = spec.get("name", kind)
 
-    def capped(order: int) -> None:
+    def capped(order: int, prefix: str = "") -> None:
         if order > max_size:
-            raise RingError(f"{spec.get('name', kind)}: {order} elements exceeds the cap "
-                            f"of {max_size}")
+            raise RingError(f"{label}: {prefix}{order} elements exceeds the cap of {max_size}")
 
-    def typed(value, cls: type, field: str):
-        if type(value) is not cls:   # so an integer is no float, string or bool
-            noun = {int: "an integer", list: "an array", str: "a string"}[cls]
-            raise RingError(f"malformed {kind!r} ring spec: {field} must be {noun}, got {value!r}")
-        return value
-
-    if "name" in spec:
-        typed(spec["name"], str, "name")
-
-    def square(rows, els: list[str], field: str) -> dict:
+    def square(rows: list, els: list[str], field: str) -> dict:
         n = len(els)
-        if type(rows) is not list or len(rows) != n or \
-           any(type(row) is not list or len(row) != n for row in rows):
-            raise RingError(f"malformed {kind!r} ring spec: {field} must be {n} arrays "
-                            f"of {n} entries")
-        return {(els[i], els[j]): typed(v, str, f"{field}[{i}][{j}]")
-                for i, row in enumerate(rows) for j, v in enumerate(row)}
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise RingError(f"malformed ring spec: {field} must be {n} arrays of {n} entries")
+        return {(els[i], els[j]): v for i, row in enumerate(rows) for j, v in enumerate(row)}
 
-    try:
-        if kind == "zn":
-            n = typed(spec["n"], int, "n")
-            capped(n)
-            ring = ring_zn(n, spec.get("name"))
-        elif kind == "product":
-            factors = [ring_from_spec(s, max_size)
-                       for s in typed(spec["factors"], list, "factors")]
-            capped(prod(r.order for r in factors))
-            ring = ring_product(factors, spec.get("name"))
-            # Both tables are built componentwise, so each law holds in the
-            # product iff it holds in every factor, and each factor passed.
-            ring._memo["valid"] = RingReport(True)
-        elif kind == "polyquo":
-            base = spec["base"]
-            if not isinstance(base, dict) or base.get("kind") != "zn":
-                raise RingError("polyquo base must be a zn spec")
-            n = typed(base["n"], int, "base n")
-            poly = [typed(c, int, f"poly[{i}]")
-                    for i, c in enumerate(typed(spec["poly"], list, "poly"))]
-            capped(n ** (len(poly) - 1))
-            ring = ring_polyquo(n, poly, spec.get("name"))
-        elif kind == "tables":
-            els = typed(spec["elements"], list, "elements")
-            capped(len(els))
-            els = [typed(e, str, f"elements[{i}]") for i, e in enumerate(els)]
-            ring = FiniteRing(spec.get("name", "tables"), tuple(els),
-                              square(spec["add"], els, "add"), square(spec["mul"], els, "mul"),
-                              typed(spec["zero"], str, "zero"), typed(spec["one"], str, "one"))
-        else:
-            raise RingError(f"unknown ring spec kind {kind!r}")
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise RingError(f"malformed {kind!r} ring spec: {type(exc).__name__}: {exc}") from exc
+    if kind == "zn":
+        capped(spec["n"])
+        ring = ring_zn(spec["n"], name)
+    elif kind == "product":
+        factors, order = [], 1
+        for i, factor in enumerate(spec["factors"], 1):   # refused once a prefix is too large
+            factors.append(ring_from_spec(factor, max_size))
+            order *= factors[-1].order
+            capped(order, "" if i == len(spec["factors"]) else "at least ")
+        ring = ring_product(factors, name)
+        # Both tables are built componentwise, so each law holds in the
+        # product iff it holds in every factor, and each factor passed.
+        ring._memo["valid"] = RingReport(True)
+    elif kind == "polyquo":
+        n, deg = spec["base"]["n"], len(spec["poly"]) - 1
+        if n >= 2 and deg >= 1:   # ring_polyquo refuses any other n and deg
+            # n^deg exceeds max_size once deg passes its bit length or n exceeds
+            # it, so that is decided without building the power
+            if deg > max_size.bit_length() or n > max_size:
+                raise RingError(f"{label}: {n}^{deg} elements exceeds the cap of {max_size}")
+            capped(n ** deg)
+        ring = ring_polyquo(n, spec["poly"], name)
+    else:   # "tables"
+        els = spec["elements"]
+        capped(len(els))
+        ring = FiniteRing(spec.get("name", "tables"), tuple(els), square(spec["add"], els, "add"),
+                          square(spec["mul"], els, "mul"), spec["zero"], spec["one"])
     require_valid_ring(ring)
     return ring
 

@@ -278,10 +278,10 @@ class TestMonadFileContract:
     @pytest.mark.parametrize("field", MONAD_FIELDS)
     def test_field_as_array_of_pairs(self, capsys, tmp_path, field):
         data = identity_monad()
-        data[field] = sorted(data[field].items())
+        data[field] = sorted(map(list, data[field].items()))
         code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
         assert code == 2 and out == ""
-        assert "needs T_obj, T_mor, unit and mult as objects; got list" in err
+        assert f"malformed monad file: {field} must be a JSON object, got {data[field]!r}" in err
 
     @pytest.mark.parametrize("field", MONAD_FIELDS)
     def test_key_outside_the_category(self, capsys, tmp_path, field):
@@ -308,7 +308,7 @@ class TestMalformedInputs:
         data = corpus.load_json("fixtures/bad/monad_mutated_mult")
         del data[field]
         code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
-        assert code == 2 and out == "" and f"KeyError: '{field}'" in err
+        assert code == 2 and out == "" and f"malformed monad file: {field} is missing" in err
 
     @pytest.mark.parametrize("spec", [
         {"kind": "zn"},
@@ -326,8 +326,9 @@ class TestMalformedInputs:
         ({"kind": "zn", "n": "4"}, "n must be an integer, got '4'"),
         ({"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": [1, 1.5, 1]},
          "poly[1] must be an integer, got 1.5"),
-        ({"kind": "polyquo", "base": {"kind": "zn", "n": 2.0}, "poly": [1, 1, 1]},
-         "base n must be an integer, got 2.0"),
+        pytest.param({"kind": "polyquo", "base": {"kind": "zn", "n": 2.0}, "poly": [1, 1, 1]},
+                     "base.n must be an integer, got 2.0",
+                     id="spec4-base n must be an integer, got 2.0"),
     ])
     def test_ring_spec_integer_fields(self, capsys, tmp_path, spec, message):
         code, out, err = run(capsys, "ring-check", "--ring", write(tmp_path, "ring", spec),
@@ -337,30 +338,38 @@ class TestMalformedInputs:
     def test_objects_as_string(self, capsys, tmp_path):
         path = write(tmp_path, "cat", {"objects": "ab", "morphisms": [], "compose": []})
         code, out, err = run(capsys, "validate", path)
-        assert code == 2 and out == "" and "'objects' must be a JSON array" in err
+        assert code == 2 and out == "" and "objects must be a JSON array, got 'ab'" in err
 
     def test_model_class_as_string(self, capsys, tmp_path):
         data = corpus.load_json("fixtures/bad/model_dropped_fib")
         data["fib"] = "".join(data["fib"])
         code, out, err = run(capsys, "verify-model", write(tmp_path, "model", data))
-        assert code == 2 and out == "" and "'fib'" in err
+        assert code == 2 and out == "" and f"fib must be a JSON array, got {data['fib']!r}" in err
 
     @pytest.mark.parametrize("spec, message", [
-        ({"kind": "tables", "elements": "zu", "zero": "z", "one": "u",
-          "add": ["zu", "uz"], "mul": ["zz", "zu"]}, "elements must be an array, got 'zu'"),
+        pytest.param({"kind": "tables", "elements": "zu", "zero": "z", "one": "u",
+                      "add": ["zu", "uz"], "mul": ["zz", "zu"]},
+                     "elements must be a JSON array, got 'zu'",
+                     id="spec0-elements must be an array, got 'zu'"),
         ({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
           "add": [["z", "u", "z"], ["u", "z", "z"], ["z", "z", "z"]],
           "mul": [["z", "z"], ["z", "u"]]}, "add must be 2 arrays of 2 entries"),
-        ({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
-          "add": [["z", "u"], ["u", "z"]], "mul": ["zz", "zu"]},
-         "mul must be 2 arrays of 2 entries"),
-        ({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
-          "add": {"z": ["z", "u"], "u": ["u", "z"]}, "mul": [["z", "z"], ["z", "u"]]},
-         "add must be 2 arrays of 2 entries"),
-        ({"kind": "product", "factors": {"a": {"kind": "zn", "n": 2}}},
-         "factors must be an array"),
-        ({"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": {"0": 1, "1": 1}},
-         "poly must be an array"),
+        pytest.param({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
+                      "add": [["z", "u"], ["u", "z"]], "mul": ["zz", "zu"]},
+                     "mul[0] must be a JSON array, got 'zz'",
+                     id="spec2-mul must be 2 arrays of 2 entries"),
+        pytest.param({"kind": "tables", "elements": ["z", "u"], "zero": "z", "one": "u",
+                      "add": {"z": ["z", "u"], "u": ["u", "z"]},
+                      "mul": [["z", "z"], ["z", "u"]]},
+                     "add must be a JSON array, got {'z': ['z', 'u'], 'u': ['u', 'z']}",
+                     id="spec3-add must be 2 arrays of 2 entries"),
+        pytest.param({"kind": "product", "factors": {"a": {"kind": "zn", "n": 2}}},
+                     "factors must be a JSON array, got {'a': {'kind': 'zn', 'n': 2}}",
+                     id="spec4-factors must be an array"),
+        pytest.param({"kind": "polyquo", "base": {"kind": "zn", "n": 2},
+                      "poly": {"0": 1, "1": 1}},
+                     "poly must be a JSON array, got {'0': 1, '1': 1}",
+                     id="spec5-poly must be an array"),
     ])
     def test_ring_spec_array_fields(self, capsys, tmp_path, spec, message):
         # each spec reads as a ring, the map as its identity
@@ -370,9 +379,13 @@ class TestMalformedInputs:
         assert code == 2 and out == "" and message in err
 
     @pytest.mark.parametrize("change, message", [
-        ({"elements": [None, "1"], "zero": "None"}, "elements[0] must be a string, got None"),
-        ({"zero": 0}, "zero must be a string, got 0"),
-        ({"add": [["0", "1"], ["1", 0]]}, "add[1][1] must be a string, got 0"),
+        pytest.param({"elements": [None, "1"], "zero": "None"},
+                     "elements[0] must be a JSON string, got None",
+                     id="change0-elements[0] must be a string, got None"),
+        pytest.param({"zero": 0}, "zero must be a JSON string, got 0",
+                     id="change1-zero must be a string, got 0"),
+        pytest.param({"add": [["0", "1"], ["1", 0]]}, "add[1][1] must be a JSON string, got 0",
+                     id="change2-add[1][1] must be a string, got 0"),
     ])
     def test_tables_spec_ids_are_strings(self, capsys, tmp_path, change, message):
         spec = {"kind": "tables", "elements": ["0", "1"], "zero": "0", "one": "1",
@@ -404,11 +417,15 @@ class TestMalformedInputs:
         assert code == 2 and out == "" and "1000000000 elements exceeds the cap of 16" in err
 
 
-    @pytest.mark.parametrize("mapping", [[1, 2], {"map": [1]}])
-    def test_ring_map_not_an_object(self, capsys, tmp_path, mapping):
+    @pytest.mark.parametrize("mapping, message", [
+        pytest.param([1, 2], "the file must be a JSON object, got [1, 2]", id="mapping0"),
+        # not an object under "map", so read as a bare map
+        pytest.param({"map": [1]}, "['map'] must be a JSON string, got [1]", id="mapping1"),
+    ])
+    def test_ring_map_not_an_object(self, capsys, tmp_path, mapping, message):
         code, out, err = run(capsys, "ring-check", "--ring", "ring_z4", "--algebra", "ring_z2",
                              "--map", write(tmp_path, "map", mapping))
-        assert code == 2 and out == "" and "a ring map must be a JSON object" in err
+        assert code == 2 and out == "" and f"malformed ring map: {message}" in err
 
     @pytest.mark.parametrize("field, key", [("T_obj", "x"), ("T_mor", "s")])
     def test_monad_file_unknown_id(self, capsys, tmp_path, field, key):
@@ -424,7 +441,7 @@ class TestMalformedInputs:
         data[field][key] = value
         code, out, err = run(capsys, "monads", "--monad-file", write(tmp_path, "monad", data))
         assert code == 2 and out == "" and \
-            f"{field} sends {key} to {value!r}, which is not a morphism id" in err
+            f"malformed monad file: {field}[{key!r}] must be a JSON string, got {value!r}" in err
 
     def test_monad_file_image_left_unmapped(self, capsys, tmp_path):
         data = corpus.load_json("fixtures/bad/monad_mutated_mult")
@@ -434,18 +451,26 @@ class TestMalformedInputs:
         assert code == 2 and out == "" and "sends x to 'y', which is not an id" in err
 
     @pytest.mark.parametrize("spec, message", [
-        ([1, 2], "cannot parse truncated-abelian spec"),
-        ({"kind": "truncated-abelian", "p": "x", "bound": 3}, "ValueError"),
-        ({"kind": "truncated-abelian", "p": 2}, "KeyError('bound')"),
-        ({"kind": "truncated-abelian", "p": 2, "bound": 2.9}, "p and bound must be integers"),
-        ({"kind": "truncated-abelian", "p": 2, "bound": 2.0}, "p and bound must be integers"),
-        ({"kind": "truncated-abelian", "p": "2", "bound": 2}, "p and bound must be integers"),
-        ({"kind": "truncated-abelian", "p": True, "bound": 2}, "p and bound must be integers"),
+        pytest.param([1, 2], "the file must be a JSON object, got [1, 2]",
+                     id="spec0-cannot parse truncated-abelian spec"),
+        pytest.param({"kind": "truncated-abelian", "p": "x", "bound": 3},
+                     "p must be an integer, got 'x'", id="spec1-ValueError"),
+        pytest.param({"kind": "truncated-abelian", "p": 2}, "bound is missing",
+                     id="spec2-KeyError('bound')"),
+        pytest.param({"kind": "truncated-abelian", "p": 2, "bound": 2.9},
+                     "bound must be an integer, got 2.9", id="spec3-p and bound must be integers"),
+        pytest.param({"kind": "truncated-abelian", "p": 2, "bound": 2.0},
+                     "bound must be an integer, got 2.0", id="spec4-p and bound must be integers"),
+        pytest.param({"kind": "truncated-abelian", "p": "2", "bound": 2},
+                     "p must be an integer, got '2'", id="spec5-p and bound must be integers"),
+        pytest.param({"kind": "truncated-abelian", "p": True, "bound": 2},
+                     "p must be an integer, got True", id="spec6-p and bound must be integers"),
     ])
     def test_k0_truncated_malformed_file(self, capsys, tmp_path, spec, message):
         code, out, err = run(capsys, "k0", "--truncated-abelian",
                              write(tmp_path, "trunc", spec))
-        assert code == 2 and out == "" and message in err
+        assert code == 2 and out == "" and f"malformed truncated-abelian spec: {message}" in err
+        assert "expected p=2,bound=3" not in err
 
     @pytest.mark.parametrize("arg", ["p=2,bound=2,p=3", "p=2,bound=2,bound=2",
                                      "p=2,bound=2.9", "p=2,bound=2,q=1", "p=2"])
@@ -480,6 +505,56 @@ class TestMalformedInputs:
         assert code == 2 and out == "" and f"malformed JSON in {path}" in err
         assert "expected p=2,bound=3" not in err
 
+    BIG = "1" + "0" * 5000   # past the 4,300 digits that int() converts
+
+    @pytest.mark.parametrize("text, argv", [
+        pytest.param(f'{{"objects": [{BIG}]}}', ["validate"], id="category-object"),
+        pytest.param(f'{{"kind": "zn", "n": {BIG}}}',
+                     ["ring-check", "--algebra", "ring_z2", "--map", "hom_z4_to_z2", "--ring"],
+                     id="ring-n"),
+        pytest.param(f'{{"kind": "truncated-abelian", "p": 2, "bound": {BIG}}}',
+                     ["k0", "--truncated-abelian"], id="truncated-bound"),
+        pytest.param('{"objects": [' + "[" * 100000 + "]" * 100000 + "]}", ["validate"],
+                     id="nested-too-deeply"),
+    ])
+    def test_json_that_json_cannot_read(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == "" and f"malformed JSON in {path}" in err
+
+    def test_json_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_bytes(b'{"objects": ["\xff"]}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == "" and f"malformed JSON in {path}" in err
+
+    @pytest.mark.parametrize("n", [10 ** 18, 2])
+    def test_polyquo_cap_decided_without_the_power(self, capsys, tmp_path, n):
+        spec = {"kind": "polyquo", "base": {"kind": "zn", "n": n}, "poly": [0] * 300000 + [1]}
+        path = write(tmp_path, "ring", spec)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ring-check", "--ring", path, "--algebra", "ring_z2",
+                             "--map", "hom_z4_to_z2")
+        assert code == 2 and out == "" and \
+            f"polyquo: {n}^300000 elements exceeds the cap of 16" in err
+        assert time.perf_counter() - start < 0.5
+
+    def test_ring_product_cap_decided_factor_by_factor(self, capsys, tmp_path):
+        # 16^4000 has more digits than int() converts to a string
+        spec = {"kind": "product", "factors": [{"kind": "zn", "n": 16}] * 4000}
+        code, out, err = run(capsys, "ring-check", "--ring", write(tmp_path, "ring", spec),
+                             "--algebra", "ring_z2", "--map", "hom_z4_to_z2")
+        assert code == 2 and out == "" and "product: at least 256 elements exceeds the cap" in err
+
+    def test_bare_ring_map_of_a_ring_with_an_element_labelled_map(self, capsys, tmp_path):
+        spec = {"kind": "tables", "elements": ["map", "u"], "zero": "map", "one": "u",
+                "add": [["map", "u"], ["u", "map"]], "mul": [["map", "map"], ["map", "u"]]}
+        ring = write(tmp_path, "ring", spec)
+        code, out, _ = run(capsys, "ring-check", "--ring", ring, "--algebra", ring,
+                           "--map", write(tmp_path, "map", {"map": "map", "u": "u"}))
+        assert code == 0 and out.startswith("PASS")
+
     @pytest.mark.parametrize("data, message", [
         ({"objects": ["a"], "morphisms": [{"id": None, "src": "a", "dst": "a"}], "compose": []},
          "morphisms[0].id must be a JSON string, got None"),
@@ -504,7 +579,7 @@ class TestMalformedInputs:
                              "--algebra", "ring_z2",
                              "--map", write(tmp_path, "map", {"0": "0", "1": "1"}))
         assert code == 2 and out == "" and \
-            f"name must be a string, got {spec['name']!r}" in err
+            f"malformed ring spec: name must be a JSON string, got {spec['name']!r}" in err
 
     def test_category_repeated_key(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
@@ -627,6 +702,56 @@ class TestMutatedInputs:
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         assert code in (0, 1, 2), argv
+
+
+# Each kind of bundled input -> the kind its errors name, and one argv per role
+# that reads it, "{}" standing for its ill-typed copy.
+LEAF_RUNS = {
+    "category": ("category file", [["validate", "{}"]]),
+    "model": ("model file", [["verify-model", "{}"]]),
+    "monad": ("monad file", [["monads", "--monad-file", "{}"]]),
+    "truncated": ("truncated-abelian spec", [["k0", "--truncated-abelian", "{}"]]),
+    "ring": ("ring spec", [
+        ["ring-check", "--ring", "{}", "--algebra", "ring_z2", "--map", "hom_z4_to_z2"],
+        ["ring-check", "--ring", "ring_z4", "--algebra", "{}", "--map", "hom_z4_to_z2"]]),
+    "ring map": ("ring map", [
+        ["ring-check", "--ring", "ring_z4", "--algebra", "ring_z2", "--map", "{}"]]),
+}
+ID_MAPS = ("identity", "T_obj", "T_mor", "unit", "mult", "map")   # objects keyed by ids
+
+
+def leaves(doc, path="", keyed=False):
+    """(path, holder, key) of every string and integer of a JSON document, the
+    path written from the root as input errors name it."""
+    items = enumerate(doc) if type(doc) is list else doc.items()
+    for key, value in items:
+        at = f"{path}[{key!r}]" if type(doc) is list or keyed else f"{path}.{key}".lstrip(".")
+        if type(value) in (list, dict):
+            yield from leaves(value, at, keyed=key in ID_MAPS)
+        else:
+            assert type(value) in (str, int), at
+            yield at, doc, key
+
+
+class TestIllTypedLeaves:
+    """Every leaf of every bundled input, made ill-typed (a string becomes null,
+    an integer the string "1"), is an input error that names it by its path."""
+
+    @pytest.mark.parametrize("kind, name", [(kind, name) for kind, names in MUTATED_KINDS.items()
+                                            for name in names])
+    def test_each_leaf_is_named(self, capsys, tmp_path, kind, name):
+        noun, argvs = LEAF_RUNS[kind]
+        doc = corpus.load_json(name)
+        path = tmp_path / "input.json"
+        for at, holder, key in list(leaves(doc)):
+            leaf = holder[key]
+            holder[key] = None if type(leaf) is str else "1"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            holder[key] = leaf
+            for argv in argvs:
+                code, out, err = run(capsys, *(str(path) if a == "{}" else a for a in argv))
+                assert (code, out) == (2, ""), (name, at, argv)
+                assert f"error: malformed {noun}: {at} must be " in err, (name, at, err)
 
 
 class TestLargeRings:

@@ -100,10 +100,19 @@ class TestConstructors:
     @pytest.mark.parametrize("spec, order", [
         ({"kind": "product", "factors": [{"kind": "zn", "n": 5}, {"kind": "zn", "n": 4}]}, 20),
         ({"kind": "polyquo", "base": {"kind": "zn", "n": 2}, "poly": [1, 0, 0, 0, 0, 1]}, 32),
-        ({"kind": "tables", "elements": [str(i) for i in range(17)]}, 17),
+        # well-formed but for the shape of its tables, which the cap refuses first
+        ({"kind": "tables", "elements": [str(i) for i in range(17)], "zero": "0", "one": "1",
+          "add": [], "mul": []}, 17),
     ])
     def test_size_cap_read_off_the_spec(self, spec, order):
         with pytest.raises(RingError, match=f"{order} elements exceeds the cap of 16"):
+            ring_from_spec(spec)
+
+    def test_spec_nested_too_deeply_to_check(self):
+        spec = {"kind": "zn", "n": 2}
+        for _ in range(5000):
+            spec = {"kind": "product", "factors": [spec]}
+        with pytest.raises(RingError, match="malformed ring spec: nested too deeply to check"):
             ring_from_spec(spec)
 
     def test_corpus_ring_specs(self, rings):
