@@ -47,8 +47,7 @@ def _read_json(path: str) -> dict:
             return json.load(fh, object_pairs_hook=corpus.unique_keys)
     except FileNotFoundError:
         return corpus.load_json(path)
-    except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, an integer too
-        # long to convert, or arrays and objects nested too deeply to parse
+    except (ValueError, RecursionError) as exc:   # not UTF-8 JSON, or too long or deep
         raise CategoryError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -185,14 +184,11 @@ def cmd_colocalizations(args) -> Outcome:
     return Outcome(all(verdicts), payload, lines, dot=family.to_dot())
 
 
-def _parse_model_file(data: dict, args) -> ModelStructure:
-    cat = _load_category(args, check(MODEL, data, "model file", CategoryError), within="model")
-    return ModelStructure(cat, *(MorphismClass.of(cat, data[k]) for k in ("cof", "we", "fib")),
-                          "file")
-
-
 def cmd_verify_model(args) -> Outcome:
-    ms = _parse_model_file(_read_json(args.model), args)
+    data = check(MODEL, _read_json(args.model), "model file", CategoryError)
+    cat = _load_category(args, data, within="model")
+    ms = ModelStructure(cat, *(MorphismClass.of(cat, data[k]) for k in ("cof", "we", "fib")),
+                        "file")
     report = verify_model_axioms(ms)
     payload = {"verdict": "pass" if report.ok else "fail",
                "axioms": report.to_json_dict()}
@@ -303,15 +299,10 @@ def cmd_bijections(args) -> Outcome:
     return Outcome(report.ok, payload, lines)
 
 
-def _read_ring_map(path: str) -> dict:
-    """A ring map file: a JSON object from elements to elements, bare or under "map"."""
-    return check_ring_map(_read_json(path), RingError)
-
-
 def cmd_ring_check(args) -> Outcome:
     ring = ring_from_spec(_read_json(args.ring), args.max_ring_elements)
     algebra = ring_from_spec(_read_json(args.algebra), args.max_ring_elements)
-    hom = RingHom(ring, algebra, _read_ring_map(args.map))
+    hom = RingHom(ring, algebra, check_ring_map(_read_json(args.map), RingError))
     verdict = localization_exists_verdict(hom)
     payload = {
         "localization_exists": verdict.exists,

@@ -368,9 +368,8 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
     elif kind == "polyquo":
         n, deg = spec["base"]["n"], len(spec["poly"]) - 1
         if n >= 2 and deg >= 1:   # ring_polyquo refuses any other n and deg
-            # n^deg exceeds max_size once deg passes its bit length or n exceeds
-            # it, so that is decided without building the power
-            if deg > max_size.bit_length() or n > max_size:
+            # n^deg >= 2^(deg (bits(n) - 1)) > max_size, decided without the power
+            if deg * (n.bit_length() - 1) > max_size.bit_length():
                 raise RingError(f"{label}: {n}^{deg} elements exceeds the cap of {max_size}")
             capped(n ** deg)
         ring = ring_polyquo(n, spec["poly"], name)

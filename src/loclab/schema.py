@@ -1,15 +1,11 @@
 """The JSON schema of each kind of input file, and the one check that applies it.
 
 A schema is `str` or `int` (matched by `type`, so a bool is no integer), `[S]`,
-`{str: S}` (an object of S under any keys), a record `{"field": S, ...}` (whose
-`Opt` fields may be left out, and which ignores keys it does not name), or
-`OneOf(tag, records)`, the record named by the object's `tag` field.  A
-mismatch reads ``malformed <kind>: <path> must be <noun>, got <value>`` or
-``malformed <kind>: <path> is missing``, the path running from the root of the
-file, as in ``category.objects[0]``; it is built only while the mismatch unwinds.
+`{str: S}` (under any keys), a record `{"field": S, ...}` (`Opt` fields may be
+left out; other keys are ignored), or `OneOf(tag, records)`, the record named
+by the `tag` field.  A mismatch is named by its path from the file's root, as in
+``malformed model file: category.objects[0] must be a JSON string, got None``.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 
@@ -48,17 +44,15 @@ def check(schema, value, kind: str, error: type[Exception]):
 
 
 def check_ring_map(value, error: type[Exception]) -> dict:
-    """A ring map, bare or under "map": wrapped only when the value under
-    "map" is an object, so that "map" may also label an element."""
+    """A ring map, bare or under "map" when that is an object ("map" may be an element)."""
     if type(value) is dict and type(value.get("map")) is dict:
         return check({"map": {str: str}}, value, "ring map", error)["map"]
     return check({str: str}, value, "ring map", error)
 
 
 def _walk(schema, value, key=None, step: str = "") -> None:
-    """Check `value`, the entry at `key` of its parent, adding `step` (such as
-    "[{}]") for `key` to the path of a mismatch.  An entry whose type is its
-    schema is a well-typed leaf, as most of a file is, and is not walked."""
+    """Check `value`, adding `step` (such as "[{}]") for its `key` to the path of a
+    mismatch.  Callers skip an entry whose type is its schema: a well-typed leaf."""
     try:
         if type(schema) is OneOf:
             _walk({schema.tag: str}, value)
@@ -77,13 +71,12 @@ def _walk(schema, value, key=None, step: str = "") -> None:
                     _walk(item, entry, k, at)
         elif want is dict:
             for k, field in schema.items():
-                optional = type(field) is Opt
-                field = field.schema if optional else field
-                if k not in value:
-                    if not optional:
-                        raise _Mismatch("is missing", ["." + k])
-                elif type(value[k]) is not field:
-                    _walk(field, value[k], k, ".{}")
+                if k in value:
+                    field = field.schema if type(field) is Opt else field
+                    if type(value[k]) is not field:
+                        _walk(field, value[k], k, ".{}")
+                elif type(field) is not Opt:
+                    raise _Mismatch("is missing", ["." + k])
     except _Mismatch as exc:
         if step:
             exc.args[1].append(step.format(key))

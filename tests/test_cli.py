@@ -529,15 +529,17 @@ class TestMalformedInputs:
         code, out, err = run(capsys, "validate", str(path))
         assert code == 2 and out == "" and f"malformed JSON in {path}" in err
 
-    @pytest.mark.parametrize("n", [10 ** 18, 2])
-    def test_polyquo_cap_decided_without_the_power(self, capsys, tmp_path, n):
-        spec = {"kind": "polyquo", "base": {"kind": "zn", "n": n}, "poly": [0] * 300000 + [1]}
+    @pytest.mark.parametrize("n, deg, cap", [(10 ** 18, 300000, 16), (2, 300000, 16),
+                                             (10 ** 39, 120, 10 ** 40)])
+    def test_polyquo_cap_decided_without_the_power(self, capsys, tmp_path, n, deg, cap):
+        # n^deg has more digits than int() converts to a string
+        spec = {"kind": "polyquo", "base": {"kind": "zn", "n": n}, "poly": [0] * deg + [1]}
         path = write(tmp_path, "ring", spec)
         start = time.perf_counter()
-        code, out, err = run(capsys, "ring-check", "--ring", path, "--algebra", "ring_z2",
-                             "--map", "hom_z4_to_z2")
+        code, out, err = run(capsys, "--max-ring-elements", str(cap), "ring-check",
+                             "--ring", path, "--algebra", "ring_z2", "--map", "hom_z4_to_z2")
         assert code == 2 and out == "" and \
-            f"polyquo: {n}^300000 elements exceeds the cap of 16" in err
+            f"polyquo: {n}^{deg} elements exceeds the cap of {cap}" in err
         assert time.perf_counter() - start < 0.5
 
     def test_ring_product_cap_decided_factor_by_factor(self, capsys, tmp_path):
