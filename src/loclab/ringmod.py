@@ -376,7 +376,7 @@ def ring_from_spec(spec: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> FiniteR
     else:   # "tables"
         els = spec["elements"]
         capped(len(els))
-        ring = FiniteRing(spec.get("name", "tables"), tuple(els), square(spec["add"], els, "add"),
+        ring = FiniteRing(label, tuple(els), square(spec["add"], els, "add"),
                           square(spec["mul"], els, "mul"), spec["zero"], spec["one"])
     require_valid_ring(ring)
     return ring

@@ -583,6 +583,35 @@ class TestMalformedInputs:
         assert code == 2 and out == "" and \
             f"malformed ring spec: name must be a JSON string, got {spec['name']!r}" in err
 
+    RING_MAP = ["ring-check", "--ring", "ring_z4", "--algebra", "ring_z2", "--map"]
+
+    @pytest.mark.parametrize("argv, base, change, message", [
+        # str() read the first map as the identity labels and passed it
+        pytest.param(RING_MAP, None, {"map": {"0": 0, "1": 1, "2": 0, "3": 1}},
+                     "malformed ring map: map['0'] must be a JSON string, got 0", id="map-ints"),
+        pytest.param(RING_MAP, None, {"map": {"0": "0", "1": "1", "2": "0", "3": None}},
+                     "malformed ring map: map['3'] must be a JSON string, got None",
+                     id="map-null"),
+        pytest.param(["verify-model"], "fixtures/bad/model_dropped_fib", {"we": [None, "id_1"]},
+                     "malformed model file: we[0] must be a JSON string, got None",
+                     id="model-we-null"),
+        pytest.param(["verify-model"], "fixtures/bad/model_dropped_fib", {"cof": [["id_0"]]},
+                     "malformed model file: cof[0] must be a JSON string, got ['id_0']",
+                     id="model-cof-nested"),
+        *(pytest.param([verb, *flag], base, {"name": name},
+                       f"malformed {kind} file: name must be a JSON string, got {name!r}",
+                       id=f"{kind}-name-{name}")
+          for verb, flag, kind, base in (
+              ("verify-model", (), "model", "fixtures/bad/model_dropped_fib"),
+              ("monads", ("--monad-file",), "monad", "fixtures/bad/monad_mutated_mult"))
+          for name in (7, None)),
+    ])
+    def test_ill_typed_field_named_by_its_path(self, capsys, tmp_path, argv, base, change,
+                                               message):
+        data = {**(corpus.load_json(base) if base else {}), **change}
+        code, out, err = run(capsys, *argv, write(tmp_path, "input", data))
+        assert code == 2 and out == "" and message in err
+
     def test_category_repeated_key(self, capsys, tmp_path):
         path = tmp_path / "cat.json"
         path.write_text('{"objects": ["a"], "objects": ["a", "b"], "morphisms": [], '
