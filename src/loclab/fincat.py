@@ -17,11 +17,11 @@ limit search, keyed by (shape, *args), every extension set, the lifting and
 retract row of each morphism, the universal row of each morphism (and each
 object's maps out with their rows as bitmasks), the factorizations of each
 morphism, the cylinder and path candidates of each parallel pair, a generating
-set of morphisms with its composable pairs, the identity functor's maps, the
-fillers of each (members, unit) and the certificate of each reflector, and
-where each naturality square at a generator is first decided.  Colimits are
-limits in the opposite, so they sit in its memo.  No memo value refers back to
-its category, so no memo keeps its category alive in a reference cycle.
+set of morphisms with its composable pairs, the identity functor's maps, and
+the fillers of each (members, unit) and the certificate of each reflector.
+Colimits are limits in the opposite, so they sit in its memo.  No memo value
+refers back to its category, so no memo keeps its category alive in a
+reference cycle.
 """
 
 from __future__ import annotations

@@ -161,15 +161,10 @@ def fibrant_replacement_functor(ms: ModelStructure) -> Reflector:
         unit[x] = next((i for p in fibrants for i in cat.hom(x, p) if i in acyclic_cof), None)
         if unit[x] is None:
             raise CategoryError(f"no fibrant replacement found for {x!r}")
-    return _own_reflector(ms, frozenset(fibrants), unit) or \
-        reflector_from_unit(cat, fibrants, unit)
-
-
-def _own_reflector(ms: ModelStructure, members: frozenset, unit: dict) -> Reflector | None:
-    """`ms.reflector` if it has these members and unit; it was certified, so
-    its maps are the unit's fillers."""
-    own = ms.reflector
-    return own if own and own.members == members and own.unit.components == unit else None
+    own = ms.reflector   # certified, so its maps are the unit's fillers
+    if own and own.members == frozenset(fibrants) and own.unit.components == unit:
+        return own
+    return reflector_from_unit(cat, fibrants, unit)
 
 
 # -- homotopy relations -----------------------------------------------------------------
@@ -431,8 +426,8 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
     n = len(refls)
     add("enumeration", True, f"{n} replete reflective subcategories")
 
-    for r, st in zip(refls, structures):
-        label = "{" + ",".join(sorted(r.members)) + "}"
+    for i, (r, st) in enumerate(zip(refls, structures)):
+        label = family.node_label(i)
         axioms = verify_model_axioms(st)
         add(f"model-axioms {label}", axioms.ok, str(axioms.first_failure or ""))
         add(f"acyclic-fib-are-isos {label}", st.acyclic_fibrations().members == cat.isos())
@@ -456,9 +451,7 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
         if not search.found:
             round_ok, detail = False, "fibrant objects not reflective"
             break
-        refl = search.reflector
-        st2 = localization_from_reflector(
-            _own_reflector(st, refl.members, refl.unit.components) or refl)
+        st2 = localization_from_reflector(search.reflector)
         if (st2.cof.members, st2.we.members, st2.fib.members) != \
            (st.cof.members, st.we.members, st.fib.members):
             round_ok, detail = False, f"classes changed for {sorted(r.members)}"
@@ -470,10 +463,10 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
     add("loc-order-antitone", not detail, detail)
 
     monads = []
-    for r in refls:
+    for i, r in enumerate(refls):
         m = monad_from_reflector(r)
         rep = verify_monad(m)
-        label = "{" + ",".join(sorted(r.members)) + "}"
+        label = family.node_label(i)
         add(f"monad-laws {label}", rep.ok, str(rep.first or ""))
         add(f"monad-idempotent {label}", is_idempotent(m), "")
         back = reflector_from_monad(m)

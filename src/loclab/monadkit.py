@@ -10,9 +10,10 @@ correctness check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
-                     Violation, generators, identity_functor, iso_classes)
+                     Violation, identity_functor, iso_classes)
 from .reflect import Reflector, certify_reflector
 
 
@@ -148,49 +149,24 @@ def monad_morphism_exists(source: MonadData, target: MonadData,
                           isos_only: bool = False) -> NatTransData | None:
     """Exhaustive search for a monad morphism; first witness in canonical order.
 
-    The component at x ranges over the c with c . eta_x == eta'_x, in hom order.
-    Each naturality square at a generator is decided once per search path, when
-    the later of its endpoints is assigned; `is_monad_morphism` checks every
-    leaf, so the first witness is that of a search deciding every square."""
+    The component at x ranges over the c with c . eta_x == eta'_x, in hom order,
+    the first object slowest; `is_monad_morphism` alone certifies each choice.
+    On a thin category each x has at most one such c, so there is one choice."""
     if source.cat != target.cat:
         raise CategoryError("monads live on different categories")
-    cat, smor, tmor = source.cat, source.functor.mor_map, target.functor.mor_map
-    objects, comp = cat.objects, cat.comp
+    cat = source.cat
     candidates = []
-    for x in objects:
+    for x in cat.objects:
         opts = [c for c in cat.extensions(source.unit.components[x], target.unit.components[x])
                 if not isos_only or cat.is_iso(c)]
         if not opts:
             return None
         candidates.append(opts)
-    squares = cat._memoized("square-positions", _square_positions)
-    assignment: dict = {}
-
-    def search(i: int) -> dict | None:
-        if i == len(objects):
-            return dict(assignment) if is_monad_morphism(source, target, assignment) else None
-        for c in candidates[i]:
-            assignment[objects[i]] = c
-            if all(comp(assignment[b], smor[f]) == comp(tmor[f], assignment[a])
-                   for f, a, b in squares[i]):
-                hit = search(i + 1)
-                if hit is not None:
-                    return hit
-        del assignment[objects[i]]
-        return None
-
-    hit = search(0)
-    return None if hit is None else NatTransData(source.functor, target.functor, hit)
-
-
-def _square_positions(cat: FinCat) -> tuple:
-    """For each position in `cat.objects`, the (f, src f, dst f) with f in
-    `generators(cat)` whose later endpoint sits there: the naturality squares
-    a search can first decide."""
-    index = {x: i for i, x in enumerate(cat.objects)}
-    return tuple(tuple((f, cat.src[f], cat.dst[f]) for f in generators(cat)
-                       if max(index[cat.src[f]], index[cat.dst[f]]) == i)
-                 for i in range(len(index)))
+    for choice in product(*candidates):
+        components = dict(zip(cat.objects, choice))
+        if is_monad_morphism(source, target, components):
+            return NatTransData(source.functor, target.functor, components)
+    return None
 
 
 def naturally_equivalent(first: MonadData, second: MonadData) -> bool:

@@ -939,20 +939,35 @@ class TestComputedOnce:
     # Each table a certificate filters is built once per category instance.
     def test_each_certificate_table_built_once_per_category(self, capsys, monkeypatch):
         seen = []
-        for module, fn in ((modelstruct, "_factorizations"), (modelstruct, "_cylinders"),
-                           (modelstruct, "_paths"), (monadkit, "_square_positions")):
-            def counted(cat, *args, original=getattr(module, fn), fn=fn):
+        for fn in ("_factorizations", "_cylinders", "_paths"):
+            def counted(cat, *args, original=getattr(modelstruct, fn), fn=fn):
                 seen.append((fn, cat, args))
                 return original(cat, *args)
 
-            monkeypatch.setattr(module, fn, counted)
+            monkeypatch.setattr(modelstruct, fn, counted)
         code, _, _ = run(capsys, "bijections", "pentagon")
         assert code == 0
         # `seen` keeps every category alive, so no two of them share an id.
         built = [(fn, id(cat), args) for fn, cat, args in seen]
         assert len(set(built)) == len(built)
-        assert {fn for fn, _, _ in built} == {"_factorizations", "_cylinders", "_paths",
-                                              "_square_positions"}
+        assert {fn for fn, _, _ in built} == {"_factorizations", "_cylinders", "_paths"}
+
+    # pentagon is thin, so each object has at most one unit-law candidate: each
+    # of the 60 order searches and 13 equivalence searches certifies one choice.
+    def test_one_leaf_check_per_monad_morphism_search(self, capsys, monkeypatch):
+        calls = {"monad_morphism_exists": 0, "is_monad_morphism": 0}
+        for fn in calls:
+            def counted(*args, original=getattr(monadkit, fn), fn=fn, **kwargs):
+                calls[fn] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(monadkit, fn, counted)
+        # `bijection_suite` calls the search through its own import
+        monkeypatch.setattr(modelstruct, "monad_morphism_exists",
+                            monadkit.monad_morphism_exists)
+        code, _, _ = run(capsys, "bijections", "pentagon")
+        assert code == 0
+        assert calls == {"monad_morphism_exists": 73, "is_monad_morphism": 73}
 
     # pentagon has 13 replete reflective subcategories, hence 169 ordered pairs
     # of reflector monads; the search runs only on the pairs whose unit

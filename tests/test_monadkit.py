@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from loclab import corpus
@@ -178,8 +180,9 @@ def components(sigma):
 
 
 class TestMonadSearchAgainstFullScan:
-    """The search that decides each naturality square once per path finds the
-    same first witness as a search that rescans every square at every step."""
+    """The walk over unit-law candidates, each certified by `is_monad_morphism`
+    alone, finds the same first witness as a search over whole hom-sets that
+    rescans every naturality square at every step, on and off the hypotheses."""
 
     def test_every_ordered_pair_of_reflector_monads(self, certified_families):
         for name, (loc, coloc) in certified_families.items():
@@ -192,8 +195,8 @@ class TestMonadSearchAgainstFullScan:
 
     @pytest.mark.parametrize("name", ["pentagon", "diamond", "B3"])
     def test_first_witness_at_generator_squares(self, cats, bench_lattices, name):
-        # the search decides squares only at generators and re-checks each
-        # leaf; the oracle decides every square at every step
+        # the walk decides squares only at generators, inside the leaf check;
+        # the oracle decides every square at every step
         cat = {**cats, **bench_lattices}[name]
         monads = [monad_from_reflector(r) for r in enumerate_replete_reflective(cat)]
         for s in monads:
@@ -225,8 +228,8 @@ class TestMonadSearchAgainstFullScan:
 
     def test_backtracking_on_pointed2(self, cats):
         # The identity functor on pointed2 with unit and multiplication at w
-        # either id_w or the zero map wzw: not all are monads, but the search
-        # only reads the data.  wzw . wzw == wzw . id_w, so a zero unit on both
+        # either id_w or the zero map wzw; the test below compares every such
+        # pair with the oracle.  wzw . wzw == wzw . id_w, so a zero unit on both
         # sides leaves two unit-law candidates at w.
         cat = cats["pointed2"]
         ident = identity_functor(cat)
@@ -236,13 +239,29 @@ class TestMonadSearchAgainstFullScan:
                              NatTransData(compose_functors(ident, ident), ident,
                                           {"w": mu_w, "z": "id_z"}))
 
-        monads = [data(eta, mu) for eta in ("id_w", "wzw") for mu in ("id_w", "wzw")]
+        assert cat.extensions("wzw", "wzw") == ("id_w", "wzw")
+        # id_w fails the multiplication law, so the walk goes on to wzw
+        sigma = monad_morphism_exists(data("wzw", "id_w"), data("wzw", "wzw"))
+        assert components(sigma) == {"w": "wzw", "z": "id_z"}
+
+    @pytest.mark.parametrize("name", ["monoid_z2", "monoid_idem", "parallel_pair", "finset2",
+                                      "pointed2", "terminal"])
+    def test_identity_functor_data_off_the_hypotheses(self, cats, name):
+        # Off the hypotheses a category need not be thin, so an object may have
+        # several unit-law candidates.  The data is the identity functor with
+        # every choice of unit and multiplication endomorphism; most are no
+        # monads, but the search only reads the data.
+        cat = cats[name]
+        ident = identity_functor(cat)
+        square = compose_functors(ident, ident)
+        ends = [cat.hom(x, x) for x in cat.objects]
+        monads = [MonadData(ident, NatTransData(ident, ident, dict(zip(cat.objects, eta))),
+                            NatTransData(square, ident, dict(zip(cat.objects, mu))))
+                  for eta in product(*ends) for mu in product(*ends)]
         for s in monads:
             for t in monads:
                 for isos_only in (False, True):
                     assert components(monad_morphism_exists(s, t, isos_only)) == \
-                        monad_morphism_by_full_scan(s, t, isos_only)
-        assert cat.extensions("wzw", "wzw") == ("id_w", "wzw")
-        # id_w fails the multiplication law at the leaf, so the search backtracks
-        sigma = monad_morphism_exists(data("wzw", "id_w"), data("wzw", "wzw"))
-        assert components(sigma) == {"w": "wzw", "z": "id_z"}
+                        monad_morphism_by_full_scan(s, t, isos_only), \
+                        (s.unit.components, s.mult.components,
+                         t.unit.components, t.mult.components, isos_only)
