@@ -6,7 +6,7 @@ categories, the module-category tensor criterion, and K_0 presentations are
 all computed and certified by exhaustive search.
 """
 
-from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
+from .fincat import (CategoryError, FinCat, FunctorData, NatTransData,
                      is_finitely_bicomplete, iso_classes, limit_search, opposite,
                      validate_category)
 from .ktheory import (K0Presentation, WaldhausenData, build_truncated_ab_category,
@@ -24,8 +24,7 @@ from .monadkit import (MonadData, is_idempotent, monad_from_reflector,
 from .reflect import (Reflector, enumerate_replete_reflective, find_reflector,
                       inverted_class, is_replete)
 from .ringmod import (AbPresentation, FiniteRing, RingError, RingHom,
-                      localization_exists_verdict, mult_map_is_iso, ring_from_spec,
-                      tensor_square)
+                      localization_exists_verdict, ring_from_spec, tensor_square)
 from .snf import SnfResult, cokernel_invariants, smith_normal_form
 
 __version__ = "0.1.0"

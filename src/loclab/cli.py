@@ -69,12 +69,13 @@ def _load_category(args, source, within: str = "") -> FinCat:
     --max-objects and --max-morphisms, and validate.
 
     `source` is a path or corpus name.  With `within` ("model" or "monad") it
-    is instead the parsed file of that kind, whose `category` field is
-    loaded.  An invalid category file ends the command with the negative
-    `invalid` report; an invalid category inside a model or monad file is an
-    input error.
+    is instead the parsed file of that kind, already checked, whose `category`
+    field is built.  An invalid category file ends the command with the
+    negative `invalid` report; an invalid category inside a model or monad
+    file is an input error.
     """
-    cat = FinCat.from_json_dict(source["category"] if within else _read_json(source))
+    cat = FinCat.from_checked_dict(source["category"]) if within else \
+        FinCat.from_json_dict(_read_json(source))
     for kind, count, cap in (("objects", len(cat.objects), args.max_objects),
                              ("morphisms", len(cat.morphisms), args.max_morphisms)):
         if count > cap:
@@ -306,8 +307,8 @@ def cmd_ring_check(args) -> Outcome:
     verdict = localization_exists_verdict(hom)
     payload = {
         "localization_exists": verdict.exists,
-        "tensor_square_order": verdict.mult.tensor_order,
-        "algebra_order": verdict.mult.ring_order,
+        "tensor_square_order": verdict.tensor_order,
+        "algebra_order": verdict.ring_order,
         "statement": verdict.statement,
     }
     mark = "PASS" if verdict.exists else "FAIL"
@@ -338,15 +339,17 @@ def _parse_truncated_arg(arg: str) -> tuple[int, int]:
 
 
 def cmd_k0(args) -> Outcome:
-    if bool(args.category) == bool(args.truncated_abelian):
+    if (args.category is None) == (args.truncated_abelian is None):
         raise CategoryError("k0 needs exactly one of --category / --truncated-abelian")
-    if args.truncated_abelian:
+    if args.truncated_abelian is not None:
+        if args.subcat is not None:
+            raise CategoryError("k0 --subcat needs --category")
         p, bound = _parse_truncated_arg(args.truncated_abelian)
         data = waldhausen_truncated(p, bound, args.we)
         source = f"abelian {p}-groups of order <= {p ** bound}, we = {args.we}"
     else:
         cat = _load_category(args, args.category)
-        if args.subcat:
+        if args.subcat is not None:
             refl, members, witness = _subcat_reflector(cat, args.subcat)
             if refl is None:
                 return Outcome(False, {"verdict": "not-reflective", "witness": witness},

@@ -165,13 +165,18 @@ class FinCat:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FinCat":
-        """Parse the category file format, auto-generating omitted identities.
+        """Check `data` against `schema.CATEGORY`, then build it."""
+        return cls.from_checked_dict(check(CATEGORY, data, "category file", CategoryError))
+
+    @classmethod
+    def from_checked_dict(cls, data: dict) -> "FinCat":
+        """Build from the category file format, already checked against
+        `schema.CATEGORY`, auto-generating omitted identities.
 
         Auto-generated identities use the reserved id ``id_<object>``; the
         compose table may reference them, and their composition rows are
         filled in (without overriding explicit entries).
         """
-        check(CATEGORY, data, "category file", CategoryError)
         objects = data["objects"]
         raw_mors = [(m["id"], m["src"], m["dst"]) for m in data.get("morphisms", [])]
         raw_comp = {(r["g"], r["f"]): r["gf"] for r in data.get("compose", [])}
@@ -654,17 +659,6 @@ class NatTransData:
 
     def is_valid(self) -> bool:
         return not self.violations
-
-
-@dataclass(frozen=True)
-class FullSubcat:
-    parent: FinCat
-    members: frozenset
-
-    def __post_init__(self):
-        bad = self.members - set(self.parent.objects)
-        if bad:
-            raise CategoryError(f"subcategory members not in parent: {sorted(bad)}")
 
 
 def iso_classes(cat: FinCat) -> tuple[tuple[str, ...], ...]:

@@ -237,16 +237,13 @@ def _paths(cat: FinCat, f: str, g: str) -> tuple | None:
 
 @dataclass(frozen=True)
 class HomotopyCategoryView:
-    structure: ModelStructure
     objects: tuple[str, ...]            # fibrant objects; hom-sets inherited from the base
     replacement: Reflector              # realizes the equivalence with the base
     replacement_functorial: bool
     adjunction_ok: bool                 # the replacement is certified as a reflector
     adjunction_witness: tuple           # the first violation's witness, () when none
     we_inverted: bool
-    we_inverted_witness: tuple
     hom_rigidity: bool                  # parallel maps into a fibrant: homotopic iff equal
-    hom_rigidity_witness: tuple
     essentially_surjective: bool
 
     @property
@@ -267,27 +264,20 @@ def homotopy_category(ms: ModelStructure) -> HomotopyCategoryView:
     certificate = certify_reflector(repl)
     fibrants = ms.fibrants
 
-    we_witness = next(((f,) for f in ms.we.sorted_members()
-                       if not cat.is_iso(repl.functor.mor_map[f])), ())
-    rigidity_witness = next(((f, g) for a in cat.objects for b in fibrants
-                             for f in cat.hom(a, b) for g in cat.hom(a, b)
-                             if _homotopic(ms, f, g) != (f == g, f == g)), ())
-
     acyclic_cof = ms.acyclic_cofibrations()
-    ess_surj = all(repl.unit.components[x] in acyclic_cof for x in cat.objects)
 
     return HomotopyCategoryView(
-        structure=ms,
         objects=fibrants,
         replacement=repl,
         replacement_functorial=repl.functor.is_valid() and repl.unit.is_valid(),
         adjunction_ok=not certificate,
         adjunction_witness=certificate[0].witness if certificate else (),
-        we_inverted=not we_witness,
-        we_inverted_witness=we_witness,
-        hom_rigidity=not rigidity_witness,
-        hom_rigidity_witness=rigidity_witness,
-        essentially_surjective=ess_surj,
+        we_inverted=all(cat.is_iso(repl.functor.mor_map[f]) for f in ms.we.members),
+        hom_rigidity=all(_homotopic(ms, f, g) == (f == g, f == g)
+                         for a in cat.objects for b in fibrants
+                         for f in cat.hom(a, b) for g in cat.hom(a, b)),
+        essentially_surjective=all(repl.unit.components[x] in acyclic_cof
+                                   for x in cat.objects),
     )
 
 
@@ -402,7 +392,6 @@ def colocalizations_via_op(cat: FinCat) -> ColocalizationFamily:
 
 @dataclass(frozen=True)
 class SuiteReport:
-    base: FinCat
     checks: tuple[tuple[str, bool, str], ...]
 
     @property
@@ -480,7 +469,7 @@ def bijection_suite(cat: FinCat) -> SuiteReport:
                              and monad_morphism_exists(monads[j], monads[i]) is not None)
     add("monad-order-isomorphism", not detail, detail)
 
-    return SuiteReport(cat, tuple(checks))
+    return SuiteReport(tuple(checks))
 
 
 def unit_extension_masks(cat: FinCat, monads) -> list[int]:

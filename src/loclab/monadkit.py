@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
-                     Violation, identity_functor, iso_classes)
+from .fincat import (CategoryError, FinCat, FunctorData, NatTransData, Violation,
+                     identity_functor, iso_classes)
 from .reflect import Reflector, certify_reflector
 
 
@@ -120,7 +120,7 @@ def reflector_from_monad(monad: MonadData) -> Reflector:
     for cls in iso_classes(cat):
         if image & set(cls):
             members.update(cls)
-    refl = Reflector(FullSubcat(cat, frozenset(members)), monad.functor, monad.unit)
+    refl = Reflector(cat, frozenset(members), monad.functor, monad.unit)
     bad = certify_reflector(refl)
     if bad:
         raise CategoryError(f"idempotent monad did not induce a reflector: {bad[0]}")

@@ -5,6 +5,9 @@ and candidate (a, u: X -> a) with a in the subcategory, every map from X into
 the subcategory must factor through u exactly once.  When several universal
 arrows exist they are uniquely isomorphic; we canonically pick the least
 (object id, morphism id) pair, and tests stay invariant under that choice.
+
+A `Reflector` carries its full subcategory as the frozenset of its members;
+`find_reflector`, the entry point for outside input, refuses a non-object.
 """
 
 from __future__ import annotations
@@ -12,24 +15,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fincat import (CategoryError, FinCat, FullSubcat, FunctorData, NatTransData,
+from .fincat import (CategoryError, FinCat, FunctorData, NatTransData,
                      Violation, identity_functor, iso_classes, require_valid)
 from .lifting import MorphismClass
 
 
 @dataclass(frozen=True)
 class Reflector:
-    subcat: FullSubcat
-    functor: FunctorData      # endofunctor on the parent, image inside the subcategory
+    cat: FinCat
+    members: frozenset        # objects of the full subcategory
+    functor: FunctorData      # endofunctor on cat, image inside the subcategory
     unit: NatTransData        # identity functor -> functor
-
-    @property
-    def cat(self) -> FinCat:
-        return self.subcat.parent
-
-    @property
-    def members(self) -> frozenset:
-        return self.subcat.members
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,9 @@ def find_reflector(cat: FinCat, members) -> ReflectorSearch:
     """
     require_valid(cat)
     members = frozenset(members)
-    FullSubcat(cat, members)   # refuses members outside the category
+    bad = members - set(cat.objects)
+    if bad:
+        raise CategoryError(f"subcategory members not in parent: {sorted(bad)}")
     unit = _unit_search(cat, sum(1 << i for i, x in enumerate(cat.objects) if x in members))
     if isinstance(unit, str):
         return ReflectorSearch(None, unit)
@@ -110,7 +108,7 @@ def reflector_from_unit(cat: FinCat, members, unit: dict) -> Reflector:
                             lambda c: _fillers(c, unit))
     functor = FunctorData(cat, cat, {x: cat.dst[u] for x, u in unit.items()}, mor_map)
     nat = NatTransData(identity_functor(cat), functor, unit)
-    return Reflector(FullSubcat(cat, members), functor, nat)
+    return Reflector(cat, members, functor, nat)
 
 
 def _fillers(cat: FinCat, unit: dict) -> dict:

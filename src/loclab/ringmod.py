@@ -25,10 +25,10 @@ to S (x)_R S; its order comes out of a certified basis of the relation
 lattice (`snf.echelon_basis`).  The multiplication map (s, t) |-> s*t is a
 surjective group homomorphism (it hits s at (s, 1)), so between finite groups
 it is an isomorphism exactly when the orders match.  That order comparison is
-the whole localization-existence verdict: a Bousfield localization of the
-discrete structure on the module category with fibrant replacement given by
-base change along phi exists if and only if the multiplication map is an
-isomorphism.
+the whole localization-existence verdict, and `LocalizationVerdict` carries
+both orders with it: a Bousfield localization of the discrete structure on
+the module category with fibrant replacement given by base change along phi
+exists if and only if the multiplication map is an isomorphism.
 """
 
 from __future__ import annotations
@@ -526,12 +526,13 @@ def tensor_square(hom: RingHom) -> TensorSquare:
 
     rows = {tuple(m if g == h else 0 for h in range(k * k)) for g, m in enumerate(moduli)}
     for c in {hom(r) for r in hom.domain.elements}:
-        for i, gi in enumerate(basis):
-            for j, gj in enumerate(basis):
+        cg = [coords[s_ring.times(c, g)] for g in basis]   # c g_i in coordinates
+        for i in range(k):
+            for j in range(k):
                 row = [0] * (k * k)
-                for a, x in enumerate(coords[s_ring.times(c, gi)]):
+                for a, x in enumerate(cg[i]):
                     row[a * k + j] += x
-                for b, y in enumerate(coords[s_ring.times(c, gj)]):
+                for b, y in enumerate(cg[j]):
                     row[i * k + b] -= y
                 row = [x % m for x, m in zip(row, moduli)]
                 if any(row):
@@ -546,39 +547,27 @@ def tensor_square(hom: RingHom) -> TensorSquare:
 
 
 @dataclass(frozen=True)
-class MultMapReport:
-    iso: bool
-    tensor_order: int
-    ring_order: int
-
-
-def mult_map_is_iso(hom: RingHom) -> MultMapReport:
-    """Is the multiplication map out of the tensor square an isomorphism?
-
-    It is onto (s is hit by (s, 1)), so between finite groups it is an
-    isomorphism exactly when |S (x)_R S| = |S|.
-    """
-    square = tensor_square(hom)
-    return MultMapReport(square.order == hom.codomain.order,
-                         square.order, hom.codomain.order)
-
-
-@dataclass(frozen=True)
 class LocalizationVerdict:
     exists: bool
-    mult: MultMapReport
+    tensor_order: int   # |S (x)_R S|
+    ring_order: int     # |S|
     statement: str
 
 
 def localization_exists_verdict(hom: RingHom) -> LocalizationVerdict:
-    mult = mult_map_is_iso(hom)
+    """Is the multiplication map S (x)_R S -> S an isomorphism?
+
+    It is onto (s is hit by (s, 1)), so between finite groups it is an
+    isomorphism exactly when |S (x)_R S| = |S|.
+    """
+    order, ring_order = tensor_square(hom).order, hom.codomain.order
     r, s = hom.domain.name, hom.codomain.name
-    if mult.iso:
+    if order == ring_order:
         statement = (f"a Bousfield localization of the discrete model structure on "
                      f"Mod({r}) with fibrant replacement -(x){s} exists "
-                     f"(tensor-square order {mult.tensor_order} = |{s}|)")
+                     f"(tensor-square order {order} = |{s}|)")
     else:
         statement = (f"no Bousfield localization of the discrete model structure on "
                      f"Mod({r}) has fibrant replacement -(x){s} "
-                     f"(tensor-square order {mult.tensor_order} != |{s}| = {mult.ring_order})")
-    return LocalizationVerdict(mult.iso, mult, statement)
+                     f"(tensor-square order {order} != |{s}| = {ring_order})")
+    return LocalizationVerdict(order == ring_order, order, ring_order, statement)

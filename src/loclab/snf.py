@@ -2,14 +2,16 @@
 
 Two certificates are checked on every call; neither trusts the reduction path.
 
-`smith_normal_form` keeps four transform matrices (U, Uinv, V, Vinv) in step
-with the working matrix, so that on return
+`smith_normal_form` keeps the transforms U, V and Vinv in step with the
+working matrix, and `SnfResult.check` proves Z^n / <A> = Z^n / <D> from
 
-    U @ A @ V == D          Uinv @ D @ Vinv == A          V @ Vinv == I
+    V @ Vinv == I == Vinv @ V           V is unimodular, so <A V> = <A> V
+    U @ (A @ V) == D                    <D> in <A V>
+    each row of A @ V lies in <D>       <A V> in <D>
 
-all hold exactly.  Those identities, together with D being diagonal with a
-divisibility chain, certify the invariant factors; `SnfResult.check`
-re-multiplies them.  U and Uinv are m x m for an m-row input.
+where <D> holds the vectors whose entry j is a multiple of d_j, and 0 past
+the diagonal.  With D diagonal and its entries a divisibility chain, that
+certifies the invariant factors.  U (m x m for m rows) need not be unimodular.
 
 `cokernel_invariants` and `presented_group_order` need only the group
 Z^n / <rows of A>, which depends only on the row lattice of A.  So
@@ -82,7 +84,6 @@ class SnfResult:
     matrix: tuple[tuple[int, ...], ...]
     d: tuple[tuple[int, ...], ...]
     u: tuple[tuple[int, ...], ...]
-    u_inv: tuple[tuple[int, ...], ...]
     v: tuple[tuple[int, ...], ...]
     v_inv: tuple[tuple[int, ...], ...]
 
@@ -103,10 +104,8 @@ class SnfResult:
         return sum(1 for x in self.diagonal if x != 0)
 
     def check(self) -> None:
-        """Re-multiply the transforms against the input; raise SnfError on any mismatch."""
-        a = [list(r) for r in self.matrix]
-        d = [list(r) for r in self.d]
-        m, n = self.n_rows, self.n_cols
+        """Certify Z^n / <A> = Z^n / <D> from the transforms; raise SnfError on any mismatch."""
+        d, m, n = self.d, self.n_rows, self.n_cols
         for i in range(m):
             for j in range(n):
                 if i != j and d[i][j] != 0:
@@ -124,13 +123,13 @@ class SnfResult:
             raise SnfError("V @ Vinv != I")
         if not mat_eq(mat_mul(self.v_inv, self.v), identity_matrix(n)):
             raise SnfError("Vinv @ V != I")
-        if not mat_eq(mat_mul(mat_mul(self.u, a), self.v), d):
+        av = mat_mul(self.matrix, self.v)
+        if not mat_eq(mat_mul(self.u, av), d):
             raise SnfError("U @ A @ V != D")
-        # D is diagonal, so Uinv @ D is a column-scaled copy of Uinv.
-        ud = [[self.u_inv[i][j] * diag[j] if j < len(diag) else 0 for j in range(n)]
-              for i in range(m)]
-        if not mat_eq(mat_mul(ud, self.v_inv), a):
-            raise SnfError("Uinv @ D @ Vinv != A")
+        moduli = diag + [0] * (n - len(diag))   # <D>: entry j a multiple of d_j, 0 past it
+        for i, row in enumerate(av):
+            if any(x % dj if dj else x for x, dj in zip(row, moduli)):
+                raise SnfError(f"row {i} of A @ V is not in the row lattice of D")
 
     def cokernel_invariants(self) -> list[int]:
         """Invariant factors of Z^n_cols modulo the row lattice (0 = one free summand)."""
@@ -161,13 +160,12 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
         n = n_cols or 0
 
     d = [row[:] for row in a]
-    u, u_inv_cols = identity_matrix(m), identity_matrix(m)   # Uinv is kept by columns
+    u = identity_matrix(m)
     v, v_inv = identity_matrix(n), identity_matrix(n)
 
     def swap_rows(i, k):
         d[i], d[k] = d[k], d[i]
         u[i], u[k] = u[k], u[i]
-        u_inv_cols[i], u_inv_cols[k] = u_inv_cols[k], u_inv_cols[i]
 
     def swap_cols(j, l):
         for row in d:
@@ -180,7 +178,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
         # row i += c * row k
         d[i] = [x + c * y for x, y in zip(d[i], d[k])]
         u[i] = [x + c * y for x, y in zip(u[i], u[k])]
-        u_inv_cols[k] = [x - c * y for x, y in zip(u_inv_cols[k], u_inv_cols[i])]
 
     def col_add(j, l, c):
         # col j += c * col l
@@ -193,7 +190,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
-        u_inv_cols[i] = [-x for x in u_inv_cols[i]]
 
     def find_pivot(t):
         best = None
@@ -257,7 +253,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], n_cols: int | None = None
         matrix=tuple(tuple(r) for r in a),
         d=tuple(tuple(r) for r in d),
         u=tuple(tuple(r) for r in u),
-        u_inv=tuple(zip(*u_inv_cols)),
         v=tuple(tuple(r) for r in v),
         v_inv=tuple(tuple(r) for r in v_inv),
     )

@@ -216,7 +216,7 @@ def test_criterion_11_negative_fixtures():
     verdict = localization_exists_verdict(RingHom(
         rings["ring_z2"], rings["ring_z2xz2"],
         corpus.load_json("hom_z2_diag_z2xz2")["map"]))
-    ok = ok and not verdict.exists and verdict.mult.tensor_order == 16
+    ok = ok and not verdict.exists and verdict.tensor_order == 16
 
     report(11, "every mutated fixture (broken associativity, bad composite "
                "typing, dropped fibration, mutated monad multiplication, "

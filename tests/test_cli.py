@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loclab import corpus, fincat, lifting, modelstruct, monadkit, reflect, ringmod, snf
+from loclab import (corpus, fincat, lifting, modelstruct, monadkit, reflect, ringmod, schema,
+                    snf)
 from loclab.cli import build_parser, main
 from loclab.fincat import FinCat, NatTransData, identity_functor
 from loclab.reflect import enumerate_replete_reflective, find_reflector
@@ -161,6 +162,27 @@ class TestCommands:
         code, _, _ = run(capsys, "k0", "--category", "terminal",
                          "--truncated-abelian", "p=2,bound=1")
         assert code == 2
+        # an empty --category is still given
+        code, _, err = run(capsys, "k0", "--category", "", "--truncated-abelian", "p=2,bound=2")
+        assert code == 2 and "exactly one of" in err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        # the empty subcategory of pointed2 is not reflective, as homotopy-category says
+        (["--category", "pointed2", "--subcat", ""], 1, "not reflective; witness w"),
+        (["--truncated-abelian", "p=2,bound=2", "--subcat", "0"], 2,
+         "k0 --subcat needs --category"),
+    ])
+    def test_k0_subcat_given_empty_or_misplaced(self, capsys, argv, code, message):
+        got, out, err = run(capsys, "k0", *argv)
+        assert got == code and message in out + err
+
+    @pytest.mark.parametrize("argv", [
+        ["homotopy-category", "chain3", "--subcat", "0,nope"],
+        ["k0", "--category", "chain3", "--subcat", "9"],
+    ])
+    def test_subcat_outside_the_category_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "subcategory members not in parent" in err
 
     def test_corpus_listing(self, capsys):
         code, out, _ = run(capsys, "corpus")
@@ -817,6 +839,22 @@ class TestCapsOnNestedCategories:
 
 
 class TestComputedOnce:
+    @pytest.mark.parametrize("argv", [
+        ["verify-model", "fixtures/bad/model_dropped_fib"],
+        ["monads", "--monad-file", "fixtures/bad/monad_mutated_mult"],
+    ])
+    def test_nested_category_checked_once(self, capsys, monkeypatch, argv):
+        walks = []
+
+        def counted(shape, value, *rest, original=schema._walk):
+            if shape is schema.CATEGORY:
+                walks.append(value)
+            return original(shape, value, *rest)
+
+        monkeypatch.setattr(schema, "_walk", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 1 and len(walks) == 1
+
     def test_each_ring_validated_once(self, capsys, monkeypatch):
         seen = []
 

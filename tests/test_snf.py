@@ -44,16 +44,23 @@ def test_empty_matrix():
 
 
 def test_transform_identities_checked():
-    # check() runs inside smith_normal_form; tamper and confirm it trips
+    # check() runs inside smith_normal_form; tamper with each condition and confirm it trips
     r = smith_normal_form([[6, 4], [8, 2]])
-    broken = type(r)(matrix=r.matrix, d=((1, 0), (0, 999)), u=r.u, u_inv=r.u_inv,
-                     v=r.v, v_inv=r.v_inv)
-    try:
-        broken.check()
-    except SnfError:
-        pass
-    else:
-        raise AssertionError("tampered diagonal passed the re-multiplication check")
+    s = smith_normal_form([[2, 0], [0, 3]])   # D = diag(1, 6)
+    tampered = [
+        (replace(r, d=((1, 0), (0, 999))), "U @ A @ V != D"),
+        (replace(s, d=((2, 0), (0, 3))), "divisibility fails"),
+        (replace(s, d=((1, 1), (0, 6))), "D is not diagonal at"),
+        (replace(s, v=((2, 0), (0, 1))), "V @ Vinv != I"),
+        (replace(s, u=((1, 0), (0, 1))), "U @ A @ V != D"),
+        # U @ A @ V == D holds, but det U = -2: <D> is a proper sublattice of <A V>
+        (snf.SnfResult(matrix=((2,), (3,)), d=((2,), (0,)), u=((1, 0), (3, -2)),
+                       v=((1,),), v_inv=((1,),)),
+         "row 1 of A @ V is not in the row lattice of D"),
+    ]
+    for broken, message in tampered:
+        with pytest.raises(SnfError, match=message):
+            broken.check()
 
 
 def test_lattice_certificate_checked():
